@@ -130,17 +130,21 @@ pub(crate) fn os_dpos_opt(
         }
 
         // Try every (dimension, count) candidate and keep the best estimate.
-        // The phase covers this op's whole enumeration, including the inner
-        // DPOS re-runs (which stay untraced and unprofiled individually to
-        // bound volume — their time accrues to `split_enum`).
+        // The phase covers this op's whole enumeration, split per candidate
+        // into `rewrite` (the graph split), `seed` (sub-op priors) and `dpos`
+        // (the inner re-run, itself untraced to bound event volume).
         let _enum_phase = col.map(|c| c.phase("split_enum"));
         let mut best: Option<(Graph, crate::dpos::Schedule, SplitDecision)> = None;
         for &dim in kind.split_dims() {
             for &n in &opts.split_counts {
-                let Ok(res) = split_operation(&cur_graph, op, dim, n) else {
+                let rewrite_phase = col.map(|c| c.phase("rewrite"));
+                let split = split_operation(&cur_graph, op, dim, n);
+                drop(rewrite_phase);
+                let Ok(res) = split else {
                     continue; // not divisible this way
                 };
                 // analytic prior for the sub-operations
+                let seed_phase = col.map(|c| c.phase("seed"));
                 for d in &devices {
                     if let Some(t) = cost.comp.get(&name, *d) {
                         for &p in &res.parts {
@@ -149,7 +153,10 @@ pub(crate) fn os_dpos_opt(
                         }
                     }
                 }
+                drop(seed_phase);
+                let dpos_phase = col.map(|c| c.phase("dpos"));
                 let s = dpos(&res.graph, topo, cost, hw);
+                drop(dpos_phase);
                 let better = match &best {
                     Some((_, b, _)) => s.est_finish < b.est_finish,
                     None => true,
@@ -273,6 +280,30 @@ mod tests {
         // the estimate improved over the unsplit serial 1s
         assert!(plan.est_finish < 1.0, "est = {}", plan.est_finish);
         plan.placement.validate(&plan.graph, &topo).unwrap();
+    }
+
+    #[test]
+    fn split_enumeration_is_profiled_per_step() {
+        let topo = Topology::single_server(4);
+        let mut cost = CostModels::new();
+        let g = heavy_conv_graph(&mut cost, &topo);
+        let col = Collector::new();
+        let opts = OsDposOptions::for_topology(&topo);
+        let hw = HardwarePerf::new();
+        let traced = os_dpos_opt(&g, &topo, &mut cost, &hw, &opts, Some(&col));
+        let paths: Vec<String> = col
+            .profiler()
+            .snapshot()
+            .into_iter()
+            .map(|e| e.path)
+            .collect();
+        for step in ["rewrite", "seed", "dpos"] {
+            let path = format!("split_enum > {step}");
+            assert!(paths.contains(&path), "missing {path} in {paths:?}");
+        }
+        // tracing never changes the plan
+        let plain = os_dpos(&g, &topo, &mut cost, &hw, &opts);
+        assert_eq!(plain.est_finish.to_bits(), traced.est_finish.to_bits());
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //! device, keyed by op name + device (Sec. 4 "The computation cost model
 //! provides the execution time of a (sub-)operation on a device, using the
 //! operation's name and device as the key").
+//!
+//! Storage is dense: each canonical name is interned to an id once, and an
+//! id's stats are a row indexed by device. Every row keeps its maximal mean
+//! current, so [`CompCostModel::max_time`] — called once per op by every
+//! rank computation — is a hash lookup, not a scan over all keys.
 
 use fastt_cluster::DeviceId;
 use fastt_graph::Graph;
 use fastt_sim::RunTrace;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Canonicalizes an op name for cost-model keying: data-parallel replicas
@@ -15,6 +21,12 @@ use std::collections::HashMap;
 /// strategy … by which each operation is replicated to different GPUs and
 /// their execution time on different devices is learned" (Sec. 4).
 pub fn canonical_name(name: &str) -> String {
+    canonical(name).into_owned()
+}
+
+/// [`canonical_name`] that borrows whenever it can: stripping a replica
+/// prefix is a subslice, so only names with `.partN` indices allocate.
+fn canonical(name: &str) -> Cow<'_, str> {
     let mut s = name;
     // strip a leading replica prefix
     if let Some(rest) = s.strip_prefix("rep") {
@@ -25,22 +37,28 @@ pub fn canonical_name(name: &str) -> String {
         }
     }
     // merge part indices
-    let mut out = String::with_capacity(s.len());
+    let mut out = String::new();
     let mut rest = s;
+    let mut merged = false;
     while let Some(pos) = rest.find(".part") {
         out.push_str(&rest[..pos + 5]);
         rest = &rest[pos + 5..];
-        let digits = rest.chars().take_while(|c| c.is_ascii_digit()).count();
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
         if digits > 0 {
             out.push('#');
             rest = &rest[digits..];
+            merged = true;
         }
     }
+    if !merged {
+        return Cow::Borrowed(s);
+    }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 /// Running mean of observed execution times for one (op, device) key.
+/// `count == 0` marks a key that has never been observed or seeded.
 #[derive(Debug, Clone, Copy, Default)]
 struct Stat {
     sum: f64,
@@ -48,6 +66,9 @@ struct Stat {
     /// True when the value is an analytic seed rather than a measurement;
     /// seeds may be replaced by later seeds, measurements may not.
     seeded: bool,
+    /// Mean at the last [`CompCostModel::snapshot`]; 0 when the key was
+    /// absent then, which [`CompCostModel::max_drift`] counts as full drift.
+    snap: f64,
 }
 
 impl Stat {
@@ -60,12 +81,41 @@ impl Stat {
     }
 }
 
+/// The stats of one canonical name on every device.
+#[derive(Debug, Clone, Default)]
+struct Row {
+    /// Indexed by [`DeviceId::index`], grown on first write.
+    stats: Vec<Stat>,
+    /// Maximal mean over the present keys, recomputed on every write — a
+    /// measurement replacing a larger seed can lower it.
+    max: Option<f64>,
+}
+
+impl Row {
+    fn stat_mut(&mut self, device: DeviceId) -> &mut Stat {
+        let i = device.index();
+        if i >= self.stats.len() {
+            self.stats.resize(i + 1, Stat::default());
+        }
+        &mut self.stats[i]
+    }
+
+    fn refresh_max(&mut self) {
+        self.max = self
+            .stats
+            .iter()
+            .filter(|s| s.count > 0)
+            .map(Stat::mean)
+            .reduce(f64::max);
+    }
+}
+
 /// Profiled per-(op, device) execution times with running averages.
 #[derive(Debug, Clone, Default)]
 pub struct CompCostModel {
-    stats: HashMap<(String, DeviceId), Stat>,
-    /// Means at the last [`CompCostModel::snapshot`], for stability checks.
-    snapshot: HashMap<(String, DeviceId), f64>,
+    /// Canonical name → index into `rows`.
+    ids: HashMap<String, u32>,
+    rows: Vec<Row>,
     /// Monotonic counter bumped on every real measurement; plan-cache
     /// fingerprints use it to detect that predictions may have moved.
     generation: u64,
@@ -75,6 +125,26 @@ impl CompCostModel {
     /// Creates an empty model.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn row(&self, name: &str) -> Option<&Row> {
+        let id = *self.ids.get(canonical(name).as_ref())?;
+        Some(&self.rows[id as usize])
+    }
+
+    /// The row for `name`, interning the canonical name on first use.
+    fn row_mut(&mut self, name: &str) -> &mut Row {
+        let key = canonical(name);
+        let id = match self.ids.get(key.as_ref()) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(self.rows.len()).expect("op names fit in u32 ids");
+                self.ids.insert(key.into_owned(), id);
+                self.rows.push(Row::default());
+                id
+            }
+        };
+        &mut self.rows[id as usize]
     }
 
     /// Records one observed execution of `name` on `device`. The first real
@@ -89,12 +159,13 @@ impl CompCostModel {
     /// drift threshold.
     pub fn observe(&mut self, name: &str, device: DeviceId, secs: f64) {
         self.generation += 1;
-        let s = self
-            .stats
-            .entry((canonical_name(name), device))
-            .or_default();
+        let row = self.row_mut(name);
+        let s = row.stat_mut(device);
         if s.seeded {
-            *s = Stat::default();
+            *s = Stat {
+                snap: s.snap,
+                ..Stat::default()
+            };
         }
         let secs = if s.count >= 3 {
             let m = s.mean();
@@ -108,6 +179,7 @@ impl CompCostModel {
         };
         s.sum += secs;
         s.count += 1;
+        row.refresh_max();
     }
 
     /// Ingests every op record of a profiled iteration
@@ -121,29 +193,30 @@ impl CompCostModel {
 
     /// Mean observed execution time of `name` on `device`, if any.
     pub fn get(&self, name: &str, device: DeviceId) -> Option<f64> {
-        self.stats
-            .get(&(canonical_name(name), device))
+        self.row(name)?
+            .stats
+            .get(device.index())
             .filter(|s| s.count > 0)
-            .map(|s| s.mean())
+            .map(Stat::mean)
     }
 
     /// Maximal mean execution time of `name` over all profiled devices —
     /// the `w_i` of the rank computation (Sec. 5.1).
     pub fn max_time(&self, name: &str) -> Option<f64> {
-        let key = canonical_name(name);
-        let mut best: Option<f64> = None;
-        for ((n, _), s) in &self.stats {
-            if *n == key && s.count > 0 {
-                let m = s.mean();
-                best = Some(best.map_or(m, |b: f64| b.max(m)));
-            }
-        }
-        best
+        self.row(name)?.max
     }
 
     /// Number of distinct (op, device) keys profiled.
     pub fn key_count(&self) -> usize {
-        self.stats.len()
+        self.stats().count()
+    }
+
+    /// Every present (op, device) stat.
+    fn stats(&self) -> impl Iterator<Item = &Stat> {
+        self.rows
+            .iter()
+            .flat_map(|r| &r.stats)
+            .filter(|s| s.count > 0)
     }
 
     /// Monotonic measurement generation: bumped once per [`observe`] call
@@ -171,26 +244,27 @@ impl CompCostModel {
     /// an older one (split candidates with different part counts reuse
     /// sub-op names).
     pub fn seed(&mut self, name: &str, devices: &[DeviceId], secs: f64) {
+        let row = self.row_mut(name);
         for &d in devices {
-            let s = self.stats.entry((canonical_name(name), d)).or_default();
+            let s = row.stat_mut(d);
             if s.count == 0 || s.seeded {
                 *s = Stat {
                     sum: secs,
                     count: 1,
                     seeded: true,
+                    snap: s.snap,
                 };
             }
         }
+        row.refresh_max();
     }
 
     /// Remembers the current means; [`CompCostModel::max_drift`] compares
     /// against them.
     pub fn snapshot(&mut self) {
-        self.snapshot = self
-            .stats
-            .iter()
-            .map(|(k, s)| (k.clone(), s.mean()))
-            .collect();
+        for s in self.rows.iter_mut().flat_map(|r| &mut r.stats) {
+            s.snap = s.mean();
+        }
     }
 
     /// Largest relative change of any key's mean since the last snapshot
@@ -198,17 +272,15 @@ impl CompCostModel {
     /// finishes pre-training "when the average time of the same
     /// (sub-)operation(s) on the same device(s) does not vary much".
     pub fn max_drift(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for (k, s) in &self.stats {
-            let now = s.mean();
-            match self.snapshot.get(k) {
-                Some(&then) if then > 0.0 => {
-                    worst = worst.max((now - then).abs() / then);
+        self.stats()
+            .map(|s| {
+                if s.snap > 0.0 {
+                    (s.mean() - s.snap).abs() / s.snap
+                } else {
+                    1.0
                 }
-                _ => worst = worst.max(1.0),
-            }
-        }
-        worst
+            })
+            .fold(0.0, f64::max)
     }
 }
 
@@ -244,6 +316,13 @@ mod tests {
         m.seed("x", &[D0, D1], 9.0);
         assert_eq!(m.get("x", D0), Some(2.0));
         assert_eq!(m.get("x", D1), Some(9.0));
+    }
+
+    #[test]
+    fn lookups_borrow_unless_parts_merge() {
+        assert!(matches!(canonical("rep3/conv"), Cow::Borrowed("conv")));
+        assert!(matches!(canonical("conv.partial"), Cow::Borrowed(_)));
+        assert!(matches!(canonical("conv.part2"), Cow::Owned(_)));
     }
 
     #[test]
