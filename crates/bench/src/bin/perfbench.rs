@@ -10,7 +10,7 @@
 //!   64-layer stacked Transformers, on one 2-GPU server.
 //! * `--full`: adds a 256-layer stacked-Transformer cell (op count scaled
 //!   toward the ROADMAP 100k-op regime) and a 2-server topology.
-//! * `--out PATH`: where to write the JSON (default `BENCH_pr12.json`).
+//! * `--out PATH`: where to write the JSON (default `BENCH_pr14.json`).
 //! * `--check BASELINE`: diff medians against a committed baseline; warn
 //!   beyond 10%, exit non-zero beyond 25% (baseline cells under the 5 ms
 //!   noise floor are informational only — see `fastt_bench::perf`).
@@ -22,7 +22,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = PerfConfig::small();
-    let mut out_path = "BENCH_pr12.json".to_string();
+    let mut out_path = "BENCH_pr14.json".to_string();
     let mut check: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {

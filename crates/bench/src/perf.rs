@@ -16,7 +16,9 @@
 //! [`WARN_THRESHOLD_PCT`] slower warns, more than [`FAIL_THRESHOLD_PCT`]
 //! fails, and cells whose baseline median is under [`MIN_GATE_SECS`] are
 //! informational only (small medians are noise-dominated on shared CI
-//! runners).
+//! runners). Plan quality is gated exactly: probed makespans are
+//! deterministic, so any cell whose makespan rises above the baseline's
+//! fails, whatever its median.
 
 use fastt::{
     default_slos, DataParallelPlanner, DposPlanner, HierarchicalPlanner, OsDposPlanner, PlanCache,
@@ -471,11 +473,13 @@ fn cell_key(c: &Value) -> Option<String> {
     ))
 }
 
-/// Compares cell medians between `current` and `baseline` by
-/// `(graph, planner, topo)` key, applying the documented thresholds: warn
-/// beyond [`WARN_THRESHOLD_PCT`], fail beyond [`FAIL_THRESHOLD_PCT`],
-/// ignore cells whose baseline median is under [`MIN_GATE_SECS`]. Cells
-/// present only on one side are reported but never fail the gate.
+/// Compares cells between `current` and `baseline` by
+/// `(graph, planner, topo)` key. Medians get the documented thresholds:
+/// warn beyond [`WARN_THRESHOLD_PCT`], fail beyond [`FAIL_THRESHOLD_PCT`],
+/// ignore cells whose baseline median is under [`MIN_GATE_SECS`]. Any
+/// probed makespan higher than the baseline's fails (cells with a NaN or
+/// absent makespan are not probed and skip this check). Cells present
+/// only on one side are reported but never fail the gate.
 pub fn check_against_baseline(current: &Value, baseline: &Value) -> GateOutcome {
     let empty: [Value; 0] = [];
     let base_cells = baseline["cells"].as_array().unwrap_or(&empty);
@@ -496,6 +500,15 @@ pub fn check_against_baseline(current: &Value, baseline: &Value) -> GateOutcome 
             out.warns += 1;
             continue;
         };
+        let makespan = |c: &Value| c["probed_makespan_secs"].as_f64().filter(|m| !m.is_nan());
+        if let (Some(bq), Some(cq)) = (makespan(b), makespan(cur)) {
+            if cq > bq {
+                out.fails += 1;
+                out.lines.push(format!(
+                    "FAIL    {key}: probed makespan {cq:e}s vs baseline {bq:e}s (plan got worse)"
+                ));
+            }
+        }
         let (Some(bm), Some(cm)) = (b["median_secs"].as_f64(), cur["median_secs"].as_f64()) else {
             continue;
         };

@@ -126,6 +126,40 @@ fn gate_thresholds_warn_at_10_and_fail_at_25_percent() {
     assert_eq!((faster.warns, faster.fails), (0, 0));
 }
 
+fn doc_with_makespan(makespan: &str) -> Value {
+    Value::parse(&format!(
+        r#"{{"cells":[
+            {{"graph":"g","planner":"dpos","topo":"1x2","median_secs":1e-5,
+              "probed_makespan_secs":{makespan}}}
+        ]}}"#
+    ))
+    .unwrap()
+}
+
+#[test]
+fn gate_fails_any_probed_makespan_increase() {
+    let base = doc_with_makespan("0.0269");
+
+    // Exact: one ULP worse fails, even on a cell below the timing floor.
+    let worse = check_against_baseline(
+        &doc_with_makespan(&format!("{:e}", 0.0269f64.next_up())),
+        &base,
+    );
+    assert_eq!(worse.fails, 1, "{:?}", worse.lines);
+    assert!(worse.lines.iter().any(|l| l.contains("probed makespan")));
+
+    for same_or_better in ["0.0269", "0.0268"] {
+        let gate = check_against_baseline(&doc_with_makespan(same_or_better), &base);
+        assert!(gate.passed(), "{same_or_better}: {:?}", gate.lines);
+    }
+
+    // Unprobed cells (NaN serializes as null) skip the check.
+    let unprobed = check_against_baseline(&doc_with_makespan("null"), &base);
+    assert!(unprobed.passed(), "{:?}", unprobed.lines);
+    let unprobed_base = check_against_baseline(&base, &doc_with_makespan("null"));
+    assert!(unprobed_base.passed(), "{:?}", unprobed_base.lines);
+}
+
 #[test]
 fn gate_reports_missing_and_new_cells_without_failing() {
     let base = doc_with_cell(0.1);

@@ -10,10 +10,11 @@
 use crate::rank::{critical_path, upward_ranks};
 use crate::timeline::DeviceTimeline;
 use fastt_cluster::{DeviceId, Topology};
-use fastt_cost::CostModels;
+use fastt_cost::{CommCostModel, CostModels, OpTimes, ResolvedPair};
 use fastt_graph::{Graph, OpId};
 use fastt_sim::{HardwarePerf, Placement};
 use fastt_telemetry::{jobj, Collector, Value};
+use std::cell::{OnceCell, RefCell};
 
 /// The output of one DPOS run: placement, execution order, and the
 /// estimated schedule.
@@ -41,7 +42,7 @@ pub struct Schedule {
 fn select_cp_device(
     graph: &Graph,
     topo: &Topology,
-    cost: &CostModels,
+    times: &[OpTimes<'_>],
     hw: &HardwarePerf,
     remaining_cp: &[OpId],
     mem_used: &[u64],
@@ -59,7 +60,7 @@ fn select_cp_device(
                 break;
             }
             free -= need;
-            sum += cost.comp.get(&graph.op_ref(o).name, d).unwrap_or(0.0);
+            sum += times[o.index()].get(d).unwrap_or(0.0);
             count += 1;
         }
         let avg = if count == 0 {
@@ -73,6 +74,84 @@ fn select_cp_device(
         }
     }
     best
+}
+
+/// The `(src, dst)` routes of one DPOS run, each resolved on first use:
+/// every hop as a dense channel index and a price resolved once per
+/// physical hop, so probing a transfer walks a slice — no route is built,
+/// no channel key hashed and no cost-model line looked up per probe. Lazy,
+/// because a run on a small subgraph (a hierarchical region) touches only
+/// a few of the device pairs.
+struct Routes<'a> {
+    topo: &'a Topology,
+    comm: &'a CommCostModel,
+    n_dev: usize,
+    /// Per `src * n_dev + dst`: the route's hops as (channel, from, to).
+    routes: Vec<OnceCell<Vec<(u32, DeviceId, DeviceId)>>>,
+    /// Channel keys (`Topology::channel_key`) in order of first use; a
+    /// hop's channel index is its key's position.
+    keys: RefCell<Vec<(u32, u32)>>,
+    /// Per physical hop `from * n_dev + to`.
+    prices: Vec<OnceCell<HopPrice>>,
+}
+
+/// A physical hop's price: the cost model's resolved pair and, when the
+/// model has no line for it, the topology route it falls back to.
+type HopPrice = (ResolvedPair, Vec<(DeviceId, DeviceId)>);
+
+impl<'a> Routes<'a> {
+    fn new(topo: &'a Topology, comm: &'a CommCostModel) -> Self {
+        let n_dev = topo.device_count();
+        Routes {
+            topo,
+            comm,
+            n_dev,
+            routes: (0..n_dev * n_dev).map(|_| OnceCell::new()).collect(),
+            keys: RefCell::new(Vec::new()),
+            prices: (0..n_dev * n_dev).map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// The `(channel, from, to)` hops of the `src → dst` route.
+    fn route(&self, src: DeviceId, dst: DeviceId) -> &[(u32, DeviceId, DeviceId)] {
+        self.routes[src.index() * self.n_dev + dst.index()].get_or_init(|| {
+            let mut keys = self.keys.borrow_mut();
+            self.topo
+                .route(src, dst)
+                .into_iter()
+                .map(|(a, b)| {
+                    let key = self.topo.channel_key(a, b);
+                    let chan = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                        keys.push(key);
+                        keys.len() - 1
+                    });
+                    (chan as u32, a, b)
+                })
+                .collect()
+        })
+    }
+
+    /// Predicted duration of one physical hop: the cost model's answer when
+    /// it has one, else the topology's analytic transfer time — never zero.
+    /// An unprofiled link priced at zero would beat every profiled one in
+    /// each EFT comparison it enters, which is the opposite of pessimism the
+    /// scheduler needs before the profiler has visited that link.
+    fn hop_secs(&self, a: DeviceId, b: DeviceId, bytes: u64) -> f64 {
+        let (model, fallback) = self.prices[a.index() * self.n_dev + b.index()].get_or_init(|| {
+            let model = self.comm.resolve(a, b);
+            let fallback = match model {
+                ResolvedPair::Unknown => self.topo.route(a, b),
+                _ => Vec::new(),
+            };
+            (model, fallback)
+        });
+        model.price(bytes).unwrap_or_else(|| {
+            fallback
+                .iter()
+                .map(|&(a, b)| self.topo.transfer_time(a, b, bytes))
+                .sum()
+        })
+    }
 }
 
 /// Design-choice switches for [`dpos_with`] — used by the ablation benches
@@ -233,6 +312,11 @@ fn dpos_impl(
         .map(|o| std::cmp::Reverse((prio[o.index()], o)))
         .collect();
 
+    // One cost-row read per op for the whole run.
+    let times: Vec<OpTimes<'_>> = graph
+        .op_ids()
+        .map(|o| cost.comp.times(&graph.op_ref(o).name))
+        .collect();
     let mut timelines: Vec<DeviceTimeline> = (0..n_dev).map(|_| DeviceTimeline::new()).collect();
     let mut mem_used = vec![0u64; n_dev];
     let mut st = vec![f64::NAN; n];
@@ -246,7 +330,7 @@ fn dpos_impl(
     let mut cp_device = if cp_remaining.is_empty() {
         DeviceId(0)
     } else {
-        select_cp_device(graph, topo, cost, hw, &cp_remaining, &mem_used)
+        select_cp_device(graph, topo, &times, hw, &cp_remaining, &mem_used)
     };
 
     // Transfer bookkeeping mirrors the executor: tensors are sent once per
@@ -254,22 +338,13 @@ fn dpos_impl(
     // routed hop by hop over the physical topology, and hops sharing a
     // physical channel serialize, which the schedule models with channel
     // timelines (the estimate would otherwise be blind to exactly the
-    // contention the communication cost model measures).
-    let mut chan: std::collections::HashMap<(u32, u32), DeviceTimeline> =
-        std::collections::HashMap::new();
-    let mut xfer_done: std::collections::HashMap<(OpId, DeviceId), f64> =
-        std::collections::HashMap::new();
-
-    // Predicted duration of one physical hop: the cost model's answer when
-    // it has one, else the topology's analytic transfer time — never zero.
-    // An unprofiled link priced at zero would beat every profiled one in
-    // each EFT comparison it enters, which is the opposite of pessimism the
-    // scheduler needs before the profiler has visited that link.
-    let hop_dur = |a: DeviceId, b: DeviceId, bytes: u64| -> f64 {
-        cost.comm
-            .predict(a, b, bytes)
-            .unwrap_or_else(|| topo.transfer_time_routed(a, b, bytes))
-    };
+    // contention the communication cost model measures). Channels and
+    // arrivals are dense: `chan` by channel index, `xfer_done` by
+    // `producer * n_dev + destination`.
+    let routes = Routes::new(topo, &cost.comm);
+    // every channel is first used by some directed device pair
+    let mut chan: Vec<DeviceTimeline> = vec![DeviceTimeline::new(); n_dev * n_dev];
+    let mut xfer_done: Vec<Option<f64>> = vec![None; n * n_dev];
 
     // Collective duration as the simulator will run it: ring all-reduce over
     // the producers' devices, predicted from the same per-link-class fits,
@@ -303,8 +378,8 @@ fn dpos_impl(
                       d: DeviceId,
                       ft: &[f64],
                       placement: &Placement,
-                      chan: &std::collections::HashMap<(u32, u32), DeviceTimeline>,
-                      xfer_done: &std::collections::HashMap<(OpId, DeviceId), f64>|
+                      chan: &[DeviceTimeline],
+                      xfer_done: &[Option<f64>]|
      -> f64 {
         if graph.op_ref(o).collective.is_some() {
             // The node starts once every producer has finished and the ring
@@ -331,16 +406,13 @@ fn dpos_impl(
             let dp = placement.device_of(p);
             let arrive = if dp == d || collective_local(p, d, placement) {
                 ft[p.index()]
-            } else if let Some(&t) = xfer_done.get(&(p, d)) {
+            } else if let Some(t) = xfer_done[p.index() * n_dev + d.index()] {
                 t
             } else {
                 let mut cursor = ft[p.index()];
-                for &(a, b) in &topo.route(dp, d) {
-                    let dur = hop_dur(a, b, e.bytes);
-                    let start = chan
-                        .get(&topo.channel_key(a, b))
-                        .map(|t| t.earliest_slot(cursor, dur))
-                        .unwrap_or(cursor);
+                for &(c, a, b) in routes.route(dp, d) {
+                    let dur = routes.hop_secs(a, b, e.bytes);
+                    let start = chan[c as usize].earliest_slot(cursor, dur);
                     cursor = start + dur;
                 }
                 cursor
@@ -354,71 +426,73 @@ fn dpos_impl(
     // every route reserves its channel. Collective in-edges reserve nothing
     // (the ring's cost is in the node's ready time; modelling its channel
     // occupancy is not worth the estimate's complexity).
-    let commit_transfers =
-        |o: OpId,
-         d: DeviceId,
-         ft: &[f64],
-         placement: &Placement,
-         chan: &mut std::collections::HashMap<(u32, u32), DeviceTimeline>,
-         xfer_done: &mut std::collections::HashMap<(OpId, DeviceId), f64>| {
-            if graph.op_ref(o).collective.is_some() {
-                return;
+    let commit_transfers = |o: OpId,
+                            d: DeviceId,
+                            ft: &[f64],
+                            placement: &Placement,
+                            chan: &mut [DeviceTimeline],
+                            xfer_done: &mut [Option<f64>]| {
+        if graph.op_ref(o).collective.is_some() {
+            return;
+        }
+        for e in graph.in_edges(o) {
+            let p = e.src;
+            let dp = placement.device_of(p);
+            let done = &mut xfer_done[p.index() * n_dev + d.index()];
+            if dp == d || collective_local(p, d, placement) || done.is_some() {
+                continue;
             }
-            for e in graph.in_edges(o) {
-                let p = e.src;
-                let dp = placement.device_of(p);
-                if dp == d || collective_local(p, d, placement) || xfer_done.contains_key(&(p, d)) {
-                    continue;
-                }
-                let mut cursor = ft[p.index()];
-                for &(a, b) in &topo.route(dp, d) {
-                    let dur = hop_dur(a, b, e.bytes);
-                    let tl = chan.entry(topo.channel_key(a, b)).or_default();
-                    let start = tl.earliest_slot(cursor, dur);
-                    tl.reserve(start, dur);
-                    cursor = start + dur;
-                }
-                xfer_done.insert((p, d), cursor);
+            let mut cursor = ft[p.index()];
+            for &(c, a, b) in routes.route(dp, d) {
+                let dur = routes.hop_secs(a, b, e.bytes);
+                let tl = &mut chan[c as usize];
+                let start = tl.earliest_slot(cursor, dur);
+                tl.reserve(start, dur);
+                cursor = start + dur;
             }
-        };
+            *done = Some(cursor);
+        }
+    };
 
+    let mut candidates: Vec<DeviceId> = Vec::with_capacity(n_dev);
     while let Some(std::cmp::Reverse((_, o))) = ready.pop() {
         let name = &graph.op_ref(o).name;
         let need = hw.planning_bytes(graph.op_ref(o));
+        let op_times = times[o.index()];
 
         // Candidate devices.
-        let candidates: Vec<DeviceId> = if let Some(p) = fixed {
-            vec![p.device_of(o)]
+        candidates.clear();
+        if let Some(p) = fixed {
+            candidates.push(p.device_of(o));
         } else if let Some(d) = forced[o.index()] {
-            vec![d]
+            candidates.push(d);
         } else if flags.cp_grouping && on_cp[o.index()] {
             // refresh the CP device if this op no longer fits on it
             let cap = topo.device(cp_device).mem_bytes;
             if mem_used[cp_device.index()] + need > cap {
                 cp_remaining.retain(|&x| !placed[x.index()]);
-                cp_device = select_cp_device(graph, topo, cost, hw, &cp_remaining, &mem_used);
+                cp_device = select_cp_device(graph, topo, &times, hw, &cp_remaining, &mem_used);
             }
-            vec![cp_device]
+            candidates.push(cp_device);
         } else {
-            let fitting: Vec<DeviceId> = topo
-                .gpu_ids()
-                .filter(|d| mem_used[d.index()] + need <= topo.device(*d).mem_bytes)
-                .collect();
-            if fitting.is_empty() {
+            candidates.extend(
+                topo.gpu_ids()
+                    .filter(|d| mem_used[d.index()] + need <= topo.device(*d).mem_bytes),
+            );
+            if candidates.is_empty() {
                 // no device fits: fall back to the one with the most free
                 // memory rather than failing the whole schedule
-                vec![topo
-                    .gpu_ids()
-                    .max_by_key(|d| {
-                        topo.device(*d)
-                            .mem_bytes
-                            .saturating_sub(mem_used[d.index()])
-                    })
-                    .expect("non-empty topology")]
-            } else {
-                fitting
+                candidates.push(
+                    topo.gpu_ids()
+                        .max_by_key(|d| {
+                            topo.device(*d)
+                                .mem_bytes
+                                .saturating_sub(mem_used[d.index()])
+                        })
+                        .expect("non-empty topology"),
+                );
             }
-        };
+        }
 
         // Min-EFT selection with idle-slot insertion. The phase covers the
         // whole candidate scan, including each device's idle-gap search
@@ -429,7 +503,7 @@ fn dpos_impl(
         let mut best_eft = f64::INFINITY;
         let mut considered: Vec<Value> = Vec::new();
         for &d in &candidates {
-            let w = cost.comp.get(name, d).unwrap_or(0.0);
+            let w = op_times.get(d).unwrap_or(0.0);
             let ready = ready_time(o, d, &ft, &placement, &chan, &xfer_done);
             let est = if flags.insertion {
                 timelines[d.index()].earliest_slot(ready, w)
@@ -463,7 +537,7 @@ fn dpos_impl(
 
         let _commit_phase = col.map(|c| c.phase("commit"));
         commit_transfers(o, best_d, &ft, &placement, &mut chan, &mut xfer_done);
-        let w = cost.comp.get(name, best_d).unwrap_or(0.0);
+        let w = op_times.get(best_d).unwrap_or(0.0);
         timelines[best_d.index()].reserve(best_est, w);
         st[o.index()] = best_est;
         ft[o.index()] = best_eft;

@@ -22,12 +22,14 @@ use fastt_sim::Placement;
 /// produce DAGs; validate untrusted graphs first).
 pub fn upward_ranks(graph: &Graph, cost: &CostModels) -> Vec<f64> {
     let topo = graph.topo_order().expect("rank needs a DAG");
+    // c̄'s lines are resolved once per call, not hashed per out-edge
+    let max_comm = cost.comm.resolve_max_comm();
     let mut rank = vec![0.0f64; graph.op_count()];
     for &o in topo.iter().rev() {
         let w = cost.comp.max_time(&graph.op_ref(o).name).unwrap_or(0.0);
         let tail = graph
             .out_edges(o)
-            .map(|e| cost.comm.max_comm(e.bytes) + rank[e.dst.index()])
+            .map(|e| max_comm.price(e.bytes) + rank[e.dst.index()])
             .fold(0.0f64, f64::max);
         rank[o.index()] = w + tail;
     }
@@ -186,7 +188,7 @@ mod tests {
         g.connect(a, b).unwrap();
         cost.comp.observe("a", D0, 1.0);
         cost.comp.observe("b", D0, 1.0);
-        // a slow profiled link makes max_comm large
+        // a slow profiled link makes c̄ large
         cost.comm.observe(D0, DeviceId(1), 1024, 0.5);
         cost.comm.refit();
         let r = upward_ranks(&g, &cost);

@@ -5,6 +5,12 @@
 //! an operation into an earliest idle time slot between two already-scheduled
 //! operations on a device" (Sec. 5.1). This module implements that exact
 //! insertion policy.
+//!
+//! The search starts at the first busy interval that ends after `ready`,
+//! found by binary search, instead of at time zero. That is exact: the
+//! intervals are disjoint and sorted, so their ends are sorted too, and an
+//! interval ending at or before `ready` can neither hold the op (it lies
+//! wholly before `ready`) nor push the candidate start past `ready`.
 
 /// The scheduled busy intervals of one device, kept sorted by start time.
 #[derive(Debug, Clone, Default)]
@@ -22,9 +28,13 @@ impl DeviceTimeline {
     /// Earliest start time `t ≥ ready` such that `[t, t + duration)` fits
     /// entirely in an idle gap (possibly between two scheduled ops, possibly
     /// after the last one).
+    ///
+    /// Costs `O(log n)` to skip the intervals ending at or before `ready`,
+    /// plus one step per interval scanned after that until a gap fits.
     pub fn earliest_slot(&self, ready: f64, duration: f64) -> f64 {
+        let first = self.intervals.partition_point(|&(_, e)| e <= ready);
         let mut t = ready;
-        for &(s, e) in &self.intervals {
+        for &(s, e) in &self.intervals[first..] {
             if t + duration <= s {
                 // fits in the gap before this interval
                 return t;
@@ -83,6 +93,117 @@ impl DeviceTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original search: scan every busy interval from time zero.
+    fn earliest_slot_from_zero(t: &DeviceTimeline, ready: f64, duration: f64) -> f64 {
+        let mut at = ready;
+        for &(s, e) in &t.intervals {
+            if at + duration <= s {
+                return at;
+            }
+            if e > at {
+                at = e;
+            }
+        }
+        at
+    }
+
+    /// SplitMix64: a tiny seeded generator, so the test needs no crate.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A duration: usually positive, sometimes zero, sometimes +∞ (a hop
+    /// over a partitioned pair is priced at +∞).
+    fn duration(rng: &mut SplitMix64) -> f64 {
+        match rng.below(10) {
+            0 => 0.0,
+            1 => f64::INFINITY,
+            2 => 0.25 * (1 + rng.below(8)) as f64,
+            _ => rng.unit() * 3.0,
+        }
+    }
+
+    /// A ready time before, inside, exactly on the start or end of, between
+    /// or after the busy intervals.
+    fn ready(rng: &mut SplitMix64, t: &DeviceTimeline) -> f64 {
+        let iv = &t.intervals;
+        if iv.is_empty() || rng.below(8) == 0 {
+            return rng.unit() * 40.0;
+        }
+        let (s, e) = iv[rng.below(iv.len() as u64) as usize];
+        match rng.below(6) {
+            0 => s,
+            1 => e,
+            2 if e.is_finite() => s + (e - s) * rng.unit(),
+            3 => (s - rng.unit() * 2.0).max(0.0),
+            4 if e.is_finite() => e + rng.unit() * 2.0,
+            _ => t.horizon(),
+        }
+    }
+
+    #[test]
+    fn indexed_search_matches_from_zero_scan() {
+        let mut queries = 0;
+        for seed in 0..96u64 {
+            let mut rng = SplitMix64(seed);
+            let mut t = DeviceTimeline::new();
+            for _ in 0..(8 + rng.below(48)) {
+                // probe a few (ready, duration) pairs, then reserve one
+                for _ in 0..4 {
+                    let (r, d) = (ready(&mut rng, &t), duration(&mut rng));
+                    let want = earliest_slot_from_zero(&t, r, d);
+                    let got = t.earliest_slot(r, d);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "seed {seed}: ready {r}, duration {d} on {:?}",
+                        t.intervals
+                    );
+                    queries += 1;
+                }
+                let (r, d) = (ready(&mut rng, &t), duration(&mut rng));
+                let at = t.earliest_slot(r, d);
+                assert_eq!(at.to_bits(), earliest_slot_from_zero(&t, r, d).to_bits());
+                t.reserve(at, d);
+            }
+        }
+        assert!(queries > 96 * 32);
+    }
+
+    #[test]
+    fn ready_on_an_interval_edge() {
+        let mut t = DeviceTimeline::new();
+        t.reserve(2.0, 3.0); // [2, 5)
+        t.reserve(6.0, 1.0); // [6, 7)
+                             // ready exactly at an end: the interval is skipped, the gap fits
+        assert_eq!(t.earliest_slot(5.0, 1.0), 5.0);
+        assert_eq!(t.earliest_slot(5.0, 1.5), 7.0);
+        // zero-length ops fit at any idle instant, including an end
+        assert_eq!(t.earliest_slot(5.0, 0.0), 5.0);
+        assert_eq!(t.earliest_slot(3.0, 0.0), 5.0);
+        // an infinite op only fits after the last interval
+        assert_eq!(t.earliest_slot(0.0, f64::INFINITY), 7.0);
+        t.reserve(7.0, f64::INFINITY);
+        assert_eq!(t.earliest_slot(8.0, 1.0), f64::INFINITY);
+        assert_eq!(t.earliest_slot(0.0, 2.0), 0.0);
+    }
 
     #[test]
     fn appends_after_ready_time() {

@@ -41,6 +41,69 @@ enum CommKey {
     Pair(DeviceId, DeviceId),
 }
 
+/// A `src → dst` pair resolved by [`CommCostModel::resolve`]: the lines
+/// [`CommCostModel::predict`] sums, so pricing a tensor walks no route and
+/// hashes nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResolvedPair {
+    /// Bound model: one line per hop of the health-aware route, summed in
+    /// route order. Empty for colocated devices (a free transfer).
+    Route(Vec<LinReg>),
+    /// Unbound model: the pair's own fit.
+    Pair(LinReg),
+    /// Bound model, partitioned pair: every transfer prices at +∞.
+    Unreachable,
+    /// No line answers (unbound and never profiled, or a hop the bound
+    /// topology cannot classify): no price.
+    Unknown,
+}
+
+impl ResolvedPair {
+    /// Predicted transfer time of `bytes`; the same value, bit for bit, as
+    /// [`CommCostModel::predict`] on the model this pair was resolved from.
+    pub fn price(&self, bytes: u64) -> Option<f64> {
+        match self {
+            ResolvedPair::Route(lines) => {
+                let mut total = 0.0;
+                for l in lines {
+                    total += l.predict(bytes as f64);
+                }
+                Some(total)
+            }
+            ResolvedPair::Pair(f) => Some(f.predict(bytes as f64)),
+            ResolvedPair::Unreachable => Some(f64::INFINITY),
+            ResolvedPair::Unknown => None,
+        }
+    }
+}
+
+/// The lines the rank computation's `c̄` maximizes over, resolved by
+/// [`CommCostModel::resolve_max_comm`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResolvedMaxComm {
+    /// Bound model: per route shape, the lines of its hop classes.
+    Shapes(Vec<Vec<LinReg>>),
+    /// Unbound model: every profiled pair's fit.
+    Fits(Vec<LinReg>),
+}
+
+impl ResolvedMaxComm {
+    /// `c̄` for a tensor of `bytes`: the worst predicted transfer time over
+    /// the cluster, 0 when nothing answers.
+    pub fn price(&self, bytes: u64) -> f64 {
+        match self {
+            ResolvedMaxComm::Shapes(shapes) => shapes
+                .iter()
+                .map(|lines| lines.iter().map(|f| f.predict(bytes as f64)).sum())
+                .fold(0.0, f64::max),
+            ResolvedMaxComm::Fits(fits) => fits
+                .iter()
+                .map(|f| f.predict(bytes as f64))
+                .fold(0.0, f64::max),
+        }
+    }
+}
+
 /// Transfer-time model: per-link-class fits composed along routes when bound
 /// to a topology, per-device-pair fits otherwise.
 #[derive(Debug, Clone, Default)]
@@ -55,8 +118,8 @@ pub struct CommCostModel {
     /// classification come from here.
     topo: Option<Topology>,
     /// Distinct route shapes (hop-class sequences) present in the bound
-    /// topology — precomputed so [`CommCostModel::max_comm`] is O(shapes)
-    /// instead of O(n²) per call.
+    /// topology — precomputed so [`CommCostModel::resolve_max_comm`] is
+    /// O(shapes) instead of O(n²) per call.
     route_shapes: Vec<Vec<LinkClass>>,
     /// Monotonic counter bumped on every [`CommCostModel::refit`]; cached
     /// plans keyed on an older generation are stale once the lines move.
@@ -244,28 +307,41 @@ impl CommCostModel {
     /// `Some(f64::INFINITY)`, so planners rank any reachable placement above
     /// one that needs a dead link. Unbound models return `None` for pairs
     /// never profiled.
+    ///
+    /// Shorthand for [`CommCostModel::resolve`] then
+    /// [`ResolvedPair::price`]; callers pricing many tensors over one pair
+    /// should resolve it once.
     pub fn predict(&self, src: DeviceId, dst: DeviceId, bytes: u64) -> Option<f64> {
+        self.resolve(src, dst).price(bytes)
+    }
+
+    /// The lines [`CommCostModel::predict`] would use for `src → dst`,
+    /// looked up once: the route walked, every hop's line chosen, so each
+    /// later [`ResolvedPair::price`] is a few multiply-adds. The result
+    /// stays valid until the model changes (a refit, a distrust override,
+    /// a rebind).
+    pub fn resolve(&self, src: DeviceId, dst: DeviceId) -> ResolvedPair {
         if src == dst {
-            return Some(0.0);
+            return ResolvedPair::Route(Vec::new());
         }
         match &self.topo {
             Some(topo) => {
                 let Some(route) = topo.try_route(src, dst) else {
-                    return Some(f64::INFINITY);
+                    return ResolvedPair::Unreachable;
                 };
-                if route.is_empty() {
-                    return Some(0.0);
-                }
-                let mut total = 0.0;
+                let mut lines = Vec::with_capacity(route.len());
                 for (a, b) in route {
-                    total += self.hop_line(a, b)?.predict(bytes as f64);
+                    match self.hop_line(a, b) {
+                        Some(l) => lines.push(*l),
+                        None => return ResolvedPair::Unknown,
+                    }
                 }
-                Some(total)
+                ResolvedPair::Route(lines)
             }
-            None => self
-                .fits
-                .get(&CommKey::Pair(src, dst))
-                .map(|f| f.predict(bytes as f64)),
+            None => match self.fits.get(&CommKey::Pair(src, dst)) {
+                Some(f) => ResolvedPair::Pair(*f),
+                None => ResolvedPair::Unknown,
+            },
         }
     }
 
@@ -291,29 +367,29 @@ impl CommCostModel {
         Some(2.0 * (n as f64 - 1.0) * slowest)
     }
 
-    /// The pessimistic `c̄` used by the rank computation: the maximal
-    /// predicted transfer time of `bytes` over the cluster. Bound models
-    /// take the worst route shape priced by fits-else-priors (non-zero from
-    /// the very first pass); unbound models fall back to the old behavior —
-    /// the worst profiled pair, 0 when nothing is profiled yet.
-    pub fn max_comm(&self, bytes: u64) -> f64 {
+    /// The lines of the pessimistic `c̄` used by the rank computation: the
+    /// maximal predicted transfer time over the cluster, priced per tensor
+    /// by [`ResolvedMaxComm::price`]. Bound models take the worst route
+    /// shape priced by fits-else-priors (non-zero from the very first
+    /// pass; classes with no line are dropped); unbound models fall back
+    /// to the worst profiled pair, 0 when nothing is profiled yet. Resolve
+    /// once per pass over the graph, not once per edge.
+    pub fn resolve_max_comm(&self) -> ResolvedMaxComm {
         if self.topo.is_some() {
-            return self
-                .route_shapes
-                .iter()
-                .map(|shape| {
-                    shape
-                        .iter()
-                        .filter_map(|&c| self.class_line(c))
-                        .map(|f| f.predict(bytes as f64))
-                        .sum()
-                })
-                .fold(0.0, f64::max);
+            return ResolvedMaxComm::Shapes(
+                self.route_shapes
+                    .iter()
+                    .map(|shape| {
+                        shape
+                            .iter()
+                            .filter_map(|&c| self.class_line(c))
+                            .copied()
+                            .collect()
+                    })
+                    .collect(),
+            );
         }
-        self.fits
-            .values()
-            .map(|f| f.predict(bytes as f64))
-            .fold(0.0, f64::max)
+        ResolvedMaxComm::Fits(self.fits.values().copied().collect())
     }
 
     /// Number of trained regressions (link classes once bound, device pairs
@@ -445,7 +521,7 @@ mod tests {
         m.observe(D0, D1, 1 << 20, 0.001);
         m.observe(D1, D0, 1 << 20, 0.010); // slower reverse path
         m.refit();
-        let worst = m.max_comm(1 << 20);
+        let worst = m.resolve_max_comm().price(1 << 20);
         assert!((worst - 0.010).abs() < 1e-9);
     }
 
@@ -472,11 +548,12 @@ mod tests {
             "3-hop cross-server route must cost more than NVLink: {inter} vs {intra}"
         );
         // satellite fix: c̄ is non-zero before the first profiled iteration
-        assert!(m.max_comm(1 << 20) > 0.0);
+        let max_comm = m.resolve_max_comm();
+        assert!(max_comm.price(1 << 20) > 0.0);
         // the worst shape is the staged cross-server route
         let want =
             Link::pcie().transfer_time(1 << 20) * 2.0 + Link::rdma_100g().transfer_time(1 << 20);
-        assert!((m.max_comm(1 << 20) - want).abs() < 1e-9);
+        assert!((max_comm.price(1 << 20) - want).abs() < 1e-9);
     }
 
     #[test]

@@ -110,6 +110,22 @@ impl Row {
     }
 }
 
+/// One op's row of a [`CompCostModel`], from [`CompCostModel::times`].
+#[derive(Debug, Clone, Copy)]
+pub struct OpTimes<'a>(Option<&'a Row>);
+
+impl OpTimes<'_> {
+    /// Mean observed execution time on `device`, if any — the same answer
+    /// as [`CompCostModel::get`].
+    pub fn get(&self, device: DeviceId) -> Option<f64> {
+        self.0?
+            .stats
+            .get(device.index())
+            .filter(|s| s.count > 0)
+            .map(Stat::mean)
+    }
+}
+
 /// Profiled per-(op, device) execution times with running averages.
 #[derive(Debug, Clone, Default)]
 pub struct CompCostModel {
@@ -193,11 +209,13 @@ impl CompCostModel {
 
     /// Mean observed execution time of `name` on `device`, if any.
     pub fn get(&self, name: &str, device: DeviceId) -> Option<f64> {
-        self.row(name)?
-            .stats
-            .get(device.index())
-            .filter(|s| s.count > 0)
-            .map(Stat::mean)
+        self.times(name).get(device)
+    }
+
+    /// `name`'s stats on every device, looked up once: a planner probing
+    /// one op on many devices canonicalizes and hashes its name once.
+    pub fn times(&self, name: &str) -> OpTimes<'_> {
+        OpTimes(self.row(name))
     }
 
     /// Maximal mean execution time of `name` over all profiled devices —

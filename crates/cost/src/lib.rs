@@ -47,8 +47,8 @@ mod comm;
 mod comp;
 mod linreg;
 
-pub use comm::{CommCostModel, DEFAULT_DISTRUST_FACTOR};
-pub use comp::{canonical_name, CompCostModel};
+pub use comm::{CommCostModel, ResolvedMaxComm, ResolvedPair, DEFAULT_DISTRUST_FACTOR};
+pub use comp::{canonical_name, CompCostModel, OpTimes};
 pub use linreg::LinReg;
 
 use fastt_graph::Graph;

@@ -3,12 +3,15 @@
 //! `dense_model_matches_reference` runs everywhere: it drives seeded random
 //! interleavings of `observe`/`seed`/`snapshot` through the dense
 //! [`CompCostModel`] and through a naive `(name, device)`-keyed reference,
-//! and requires every query to agree bit for bit. The `proptest` cases need
+//! and requires every query to agree bit for bit.
+//! `resolved_comm_prices_match_reference` does the same for the
+//! communication model's resolved pairs and `c̄` lines, against a
+//! reference that walks routes and picks lines per call. The `proptest` cases need
 //! the external `proptest` crate, which the offline build environment cannot
 //! fetch, so they compile only under `--features proptest`.
 
-use fastt_cluster::DeviceId;
-use fastt_cost::CompCostModel;
+use fastt_cluster::{DeviceId, LinkClass, Topology};
+use fastt_cost::{CommCostModel, CompCostModel, LinReg};
 use fastt_graph::{Graph, OpKind, Operation};
 use std::collections::HashMap;
 
@@ -243,6 +246,241 @@ fn measurement_replacing_a_larger_seed_lowers_the_max() {
     }
     assert_eq!(m.max_time("rep0/conv.part1"), Some(2.5));
     assert_eq!(m.max_drift().to_bits(), r.max_drift().to_bits());
+}
+
+/// What `CommCostModel::predict` and the rank computation's `c̄` answer,
+/// computed per call
+/// from the model's public pieces: the health-aware route, and per hop the
+/// distrust override, else the trained line (`fit_for`), else the class
+/// prior seeded from the slowest link spec of that class.
+struct CommReference<'a> {
+    m: &'a CommCostModel,
+    /// The topology the model is bound to; `None` for an unbound model.
+    topo: Option<&'a Topology>,
+    /// Distrusted hops with the line each was installed with.
+    distrust: Vec<((DeviceId, DeviceId), LinReg)>,
+}
+
+impl CommReference<'_> {
+    fn prior(&self, c: LinkClass) -> Option<LinReg> {
+        let topo = self.topo?;
+        let mut best: Option<LinReg> = None;
+        for s in topo.device_ids() {
+            for d in topo.device_ids() {
+                if let (Some(l), Some(lc)) = (topo.link(s, d), topo.link_class(s, d)) {
+                    let prior = LinReg {
+                        slope: 1.0 / l.bandwidth,
+                        intercept: l.latency,
+                        n: 0,
+                    };
+                    if lc == c && best.is_none_or(|b| prior.predict(1e6) > b.predict(1e6)) {
+                        best = Some(prior);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    fn hop_line(&self, a: DeviceId, b: DeviceId) -> Option<LinReg> {
+        if let Some((_, l)) = self.distrust.iter().find(|(k, _)| *k == (a, b)) {
+            return Some(*l);
+        }
+        if let Some(f) = self.m.fit_for(a, b) {
+            return Some(*f);
+        }
+        self.prior(self.topo?.link_class(a, b)?)
+    }
+
+    /// Installs a distrust override the way `distrust_link` documents it:
+    /// the hop's current line scaled by `factor`, compounding an existing
+    /// override.
+    fn distrust(&mut self, a: DeviceId, b: DeviceId, factor: f64) {
+        if let Some((_, l)) = self.distrust.iter_mut().find(|(k, _)| *k == (a, b)) {
+            l.slope *= factor;
+            l.intercept *= factor;
+            return;
+        }
+        let base = self.hop_line(a, b).expect("bound hops always have a line");
+        self.distrust.push((
+            (a, b),
+            LinReg {
+                slope: base.slope * factor,
+                intercept: base.intercept * factor,
+                n: 0,
+            },
+        ));
+    }
+
+    fn predict(&self, src: DeviceId, dst: DeviceId, bytes: u64) -> Option<f64> {
+        if src == dst {
+            return Some(0.0);
+        }
+        let Some(topo) = self.topo else {
+            return self.m.fit_for(src, dst).map(|f| f.predict(bytes as f64));
+        };
+        let Some(route) = topo.try_route(src, dst) else {
+            return Some(f64::INFINITY);
+        };
+        let mut total = 0.0;
+        for (a, b) in route {
+            total += self.hop_line(a, b)?.predict(bytes as f64);
+        }
+        Some(total)
+    }
+
+    fn max_comm(&self, bytes: u64, devices: &[DeviceId]) -> f64 {
+        let Some(topo) = self.topo else {
+            let mut worst = 0.0f64;
+            for &s in devices {
+                for &d in devices {
+                    if let Some(f) = self.m.fit_for(s, d) {
+                        worst = worst.max(f.predict(bytes as f64));
+                    }
+                }
+            }
+            return worst;
+        };
+        // the class line: the trained fit of any link of the class, else
+        // the prior (distrust overrides never enter c̄)
+        let class_line = |c: LinkClass| {
+            topo.device_ids()
+                .flat_map(|s| topo.device_ids().map(move |d| (s, d)))
+                .find(|&(s, d)| topo.link_class(s, d) == Some(c))
+                .and_then(|(s, d)| self.m.fit_for(s, d).copied())
+                .or_else(|| self.prior(c))
+        };
+        let mut worst = 0.0f64;
+        for s in topo.device_ids() {
+            for d in topo.device_ids() {
+                let price: f64 = topo
+                    .route(s, d)
+                    .iter()
+                    .filter_map(|&(a, b)| topo.link_class(a, b))
+                    .filter_map(class_line)
+                    .map(|f| f.predict(bytes as f64))
+                    .sum();
+                worst = worst.max(price);
+            }
+        }
+        worst
+    }
+}
+
+const SWEEP_BYTES: [u64; 8] = [0, 1, 4096, 65_537, 1 << 20, 123_456_789, 1 << 30, 1 << 36];
+
+/// Every pair and byte size: the resolved price, `predict` and the
+/// reference agree bit for bit (or all are `None`), and so do the resolved
+/// `c̄` and the reference.
+fn assert_comm_agrees(r: &CommReference<'_>, devices: &[DeviceId], ctx: &str) -> usize {
+    let max_comm = r.m.resolve_max_comm();
+    let mut infinite = 0;
+    for &s in devices {
+        for &d in devices {
+            let pair = r.m.resolve(s, d);
+            for bytes in SWEEP_BYTES {
+                let want = r.predict(s, d, bytes).map(f64::to_bits);
+                assert_eq!(
+                    pair.price(bytes).map(f64::to_bits),
+                    want,
+                    "{ctx}: resolved {s}->{d} at {bytes} B"
+                );
+                assert_eq!(
+                    r.m.predict(s, d, bytes).map(f64::to_bits),
+                    want,
+                    "{ctx}: predict {s}->{d} at {bytes} B"
+                );
+                infinite += usize::from(want == Some(f64::INFINITY.to_bits()));
+            }
+        }
+    }
+    for bytes in SWEEP_BYTES {
+        let want = r.max_comm(bytes, devices).to_bits();
+        assert_eq!(
+            max_comm.price(bytes).to_bits(),
+            want,
+            "{ctx}: resolved max_comm at {bytes} B"
+        );
+    }
+    infinite
+}
+
+/// Profiles a few hops with noisy linear transfer times (so the trimmed
+/// fits are not just the specs).
+fn profile(m: &mut CommCostModel, hops: &[(DeviceId, DeviceId)], rng: &mut Rng) {
+    for &(a, b) in hops {
+        let (lat, bw) = (rng.range(1e-6, 5e-5), rng.range(1e9, 60e9));
+        for _ in 0..12 {
+            let bytes = 1 + rng.below(64 << 20);
+            m.observe(a, b, bytes, (lat + bytes as f64 / bw) * rng.range(0.9, 1.1));
+        }
+    }
+    m.refit();
+}
+
+#[test]
+fn resolved_comm_prices_match_reference() {
+    let (g0, g1) = (DeviceId(0), DeviceId(1));
+    for (servers, gpus) in [(1u16, 4u16), (2, 2), (2, 4)] {
+        let mut topo = Topology::multi_server(servers, gpus);
+        let devices: Vec<DeviceId> = topo.device_ids().collect();
+        let h0 = topo.host_of(0).unwrap();
+        let last = DeviceId(servers * gpus - 1);
+        let mut rng = Rng(u64::from(servers * 16 + gpus));
+        let ctx = format!("{servers}x{gpus}");
+
+        // unbound: profiled pairs answer from their fits, the rest are None
+        let mut m = CommCostModel::new();
+        profile(&mut m, &[(g0, g1), (g1, g0), (last, h0)], &mut rng);
+        let r = CommReference {
+            m: &m,
+            topo: None,
+            distrust: Vec::new(),
+        };
+        assert_comm_agrees(&r, &devices, &format!("{ctx} unbound"));
+        assert_eq!(m.predict(g1, last, 1 << 20), None);
+
+        // bound, priors only
+        let mut m = CommCostModel::new();
+        m.bind_topology(&topo);
+        let r = CommReference {
+            m: &m,
+            topo: Some(&topo),
+            distrust: Vec::new(),
+        };
+        assert_comm_agrees(&r, &devices, &format!("{ctx} priors"));
+
+        // bound and profiled on NVLink and PCIe hops
+        profile(&mut m, &[(g0, g1), (g1, h0)], &mut rng);
+        let r = CommReference {
+            m: &m,
+            topo: Some(&topo),
+            distrust: Vec::new(),
+        };
+        assert_comm_agrees(&r, &devices, &format!("{ctx} profiled"));
+
+        // GPU 0's direct and host links fail: GPU 0 → GPU 1 is partitioned
+        topo.fail_link(g0, g1);
+        topo.fail_link(g0, h0);
+        m.bind_topology(&topo);
+        let mut r = CommReference {
+            m: &m,
+            topo: Some(&topo),
+            distrust: Vec::new(),
+        };
+        let infinite = assert_comm_agrees(&r, &devices, &format!("{ctx} failed"));
+        assert!(infinite > 0, "{ctx}: a partitioned pair must price at +inf");
+        assert_eq!(m.predict(g0, g1, 1 << 20), Some(f64::INFINITY));
+
+        // distrusted hops, one compounded
+        let mut m = m.clone();
+        for (a, b, f) in [(g1, h0, 3.0), (h0, last, 8.0), (h0, last, 1.5)] {
+            assert!(m.distrust_link(a, b, f));
+            r.distrust(a, b, f);
+        }
+        r.m = &m;
+        assert_comm_agrees(&r, &devices, &format!("{ctx} distrusted"));
+    }
 }
 
 #[cfg(feature = "proptest")]

@@ -73,9 +73,10 @@ fn c_max(g: &Graph, cost: &CostModels) -> f64 {
     let topo_order = g.topo_order().unwrap();
     let mut best = vec![0.0f64; g.op_count()];
     let mut global: f64 = 0.0;
+    let max_comm = cost.comm.resolve_max_comm();
     for &o in topo_order.iter().rev() {
         for e in g.out_edges(o) {
-            let c = cost.comm.max_comm(e.bytes);
+            let c = max_comm.price(e.bytes);
             let cand = c + best[e.dst.index()];
             if cand > best[o.index()] {
                 best[o.index()] = cand;
