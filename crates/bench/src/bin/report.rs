@@ -247,7 +247,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let regions = e.num("regions").unwrap_or(0.0);
         println!(
             "[{:>9} us] {} ops -> {} regions ({:.1}x collapse, {} rounds) | \
-             decompose {:.3} ms, across {:.3} ms, within {:.3} ms | \
+             decompose {:.3} ms ({}), across {:.3} ms, within {:.3} ms | \
              {} region-cache hits | est {:.3} ms",
             e.t_us,
             ops,
@@ -255,6 +255,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if regions > 0.0 { ops / regions } else { 0.0 },
             e.field("rounds"),
             ms(e, "decompose_secs"),
+            match e.field("decompose_cached").as_bool() {
+                Some(true) => "memo hit",
+                Some(false) => "cold",
+                None => "?",
+            },
             ms(e, "across_secs"),
             ms(e, "within_secs"),
             e.field("region_cache_hits"),

@@ -242,6 +242,9 @@ fn run_planner_cell(
             extras.push((field.to_string(), Value::from(v)));
         }
     }
+    if let Some(MetricValue::Gauge(v)) = m.get("hier.decompose_cached") {
+        extras.push(("decompose_cached".to_string(), Value::from(v != 0.0)));
+    }
     CellResult {
         samples,
         evals,
@@ -418,16 +421,19 @@ fn cell_json(
 }
 
 /// The structure of a BENCH document with every timing-dependent field
-/// removed: same-seed runs must produce identical fingerprints (pinned by
-/// a test), which is what makes trajectory diffs trustworthy.
+/// removed, and `decompose_cached`, which depends on what the process-wide
+/// decomposition memo already held: same-seed runs must produce identical
+/// fingerprints (pinned by a test), which is what makes trajectory diffs
+/// trustworthy.
 pub fn structural_fingerprint(doc: &Value) -> Value {
-    const VOLATILE: [&str; 8] = [
+    const VOLATILE: [&str; 9] = [
         "median_secs",
         "p95_secs",
         "hotspots",
         "slos",
         "generated_unix",
         "decompose_secs",
+        "decompose_cached",
         "across_secs",
         "within_secs",
     ];

@@ -59,12 +59,19 @@ const DECOMP_MEMO_CAP: usize = 8;
 /// free). Shared by the planner, the fingerprint computation, and the
 /// bench harness so they all see one decomposition.
 pub fn region_tree_for(graph: &Graph) -> (Arc<RegionTree>, f64) {
+    let (tree, secs, _) = memoized_region_tree(graph);
+    (tree, secs)
+}
+
+/// [`region_tree_for`], plus whether the memo served the tree without this
+/// call decomposing.
+fn memoized_region_tree(graph: &Graph) -> (Arc<RegionTree>, f64, bool) {
     let key = graph.structure_hash();
     let memo = DECOMP_MEMO.get_or_init(|| Mutex::new(Vec::new()));
     {
         let m = memo.lock().expect("decompose memo poisoned");
         if let Some((_, t, secs)) = m.iter().find(|(k, _, _)| *k == key) {
-            return (Arc::clone(t), *secs);
+            return (Arc::clone(t), *secs, true);
         }
     }
     let t0 = Instant::now();
@@ -72,13 +79,13 @@ pub fn region_tree_for(graph: &Graph) -> (Arc<RegionTree>, f64) {
     let secs = t0.elapsed().as_secs_f64();
     let mut m = memo.lock().expect("decompose memo poisoned");
     if let Some((_, t, s)) = m.iter().find(|(k, _, _)| *k == key) {
-        return (Arc::clone(t), *s); // racer filled it first
+        return (Arc::clone(t), *s, false); // racer filled it first
     }
     m.push((key, Arc::clone(&tree), secs));
     while m.len() > DECOMP_MEMO_CAP {
         m.remove(0);
     }
-    (tree, secs)
+    (tree, secs, false)
 }
 
 /// Hierarchical planner: DPOS across the region quotient, DPOS (or the
@@ -129,16 +136,19 @@ impl Planner for HierarchicalPlanner {
         let col = ctx.collector.clone();
         let _hier_phase = col.as_deref().map(|c| c.phase("hierarchical"));
 
-        // 1. Decompose (memoized for default options).
+        // 1. Decompose (memoized for default options). The time reported is
+        // what this call spent: a memo hit costs a lookup, not the cold
+        // decomposition the memo stored.
         let decomp_phase = col.as_deref().map(|c| c.phase("decompose"));
-        let (tree, decompose_secs) = match self.opts {
-            None => region_tree_for(graph),
-            Some(o) => {
-                let t0 = Instant::now();
-                let t = Arc::new(decompose_with(graph, o));
-                (t, t0.elapsed().as_secs_f64())
+        let t_decomp = Instant::now();
+        let (tree, decompose_cached) = match self.opts {
+            None => {
+                let (t, _, cached) = memoized_region_tree(graph);
+                (t, cached)
             }
+            Some(o) => (Arc::new(decompose_with(graph, o)), false),
         };
+        let decompose_secs = t_decomp.elapsed().as_secs_f64();
         drop(decomp_phase);
 
         // 2. Across: DPOS on the quotient graph.
@@ -215,6 +225,10 @@ impl Planner for HierarchicalPlanner {
             m.set_gauge("hier.rounds", tree.rounds() as f64);
             m.set_gauge("hier.residual", tree.residual_regions().len() as f64);
             m.set_gauge("hier.decompose_secs", decompose_secs);
+            m.set_gauge(
+                "hier.decompose_cached",
+                f64::from(u8::from(decompose_cached)),
+            );
             m.set_gauge("hier.across_secs", across_secs);
             m.set_gauge("hier.within_secs", within_secs);
             col.emit(
@@ -224,6 +238,7 @@ impl Planner for HierarchicalPlanner {
                     "regions" => tree.len() as u64,
                     "rounds" => tree.rounds() as u64,
                     "decompose_secs" => decompose_secs,
+                    "decompose_cached" => decompose_cached,
                     "across_secs" => across_secs,
                     "within_secs" => within_secs,
                     "region_cache_hits" => region_hits,

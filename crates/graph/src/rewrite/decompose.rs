@@ -12,7 +12,8 @@
 //!   sets (fan-out/fan-in diamonds: attention heads, tower branches);
 //! * **endpoint absorption**: fold a source (e.g. a `Variable`) into one of
 //!   its successors, or a sink (e.g. an `ApplyGradient`) into one of its
-//!   predecessors, when a reachability check proves the contraction cannot
+//!   predecessors, when it has at least two of them (one is the series
+//!   rule's case) and a reachability check proves the contraction cannot
 //!   create a cycle.
 //!
 //! Contracting an edge `(u, v)` of a DAG creates a cycle iff some other
@@ -20,8 +21,13 @@
 //! structurally (it would need a second predecessor of `v` / successor of
 //! `u`); the parallel rule merges mutually non-adjacent twins with equal
 //! frontiers; endpoint absorption verifies the condition directly with a
-//! bounded DFS over the live quotient. Every pass iterates regions in
-//! ascending minimum-op-id order, so the decomposition is deterministic.
+//! bounded DFS over the live quotient (one probe per source candidate, up
+//! to k−1 per sink candidate with k predecessors, each visiting at most
+//! [`DecomposeOptions::dfs_budget`] regions). A probe's answer is "`target`
+//! is reachable, or more than `budget` regions are", a function of the live
+//! quotient alone, and it marks visits in a reused epoch-stamped array, so
+//! probing allocates nothing. Every pass iterates regions in ascending
+//! minimum-op-id order, so the decomposition is deterministic.
 //!
 //! Region growth is capped ([`DecomposeOptions::max_region_ops`]) so the
 //! result is a *partition* into mid-sized regions rather than one giant
@@ -216,9 +222,40 @@ struct Builder {
     preds: Vec<BTreeSet<u32>>,
     succs: Vec<BTreeSet<u32>>,
     cap: usize,
+    /// Reachability-probe scratch: `stamp[x] == epoch` marks `x` as seen by
+    /// the current probe, so a probe starts by bumping `epoch` instead of
+    /// clearing a set.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The probe's DFS stack, reused across probes.
+    stack: Vec<u32>,
 }
 
 impl Builder {
+    /// One singleton region per op of `g`, with its edges as adjacency.
+    fn new(g: &Graph, cap: usize) -> Self {
+        let n = g.op_count();
+        let mut b = Builder {
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+            bits: vec![0; n],
+            preds: vec![BTreeSet::new(); n],
+            succs: vec![BTreeSet::new(); n],
+            cap: cap.max(1),
+            stamp: vec![0; n],
+            epoch: 0,
+            stack: Vec::new(),
+        };
+        for e in g.iter_edges() {
+            let (s, d) = (e.src.index() as u32, e.dst.index() as u32);
+            if s != d {
+                b.succs[s as usize].insert(d);
+                b.preds[d as usize].insert(s);
+            }
+        }
+        b
+    }
+
     fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let p = self.parent[x as usize];
@@ -331,20 +368,61 @@ impl Builder {
 
     /// Bounded multi-source DFS on the live quotient: does any of `from`
     /// reach `target`? Exhausting the budget reports `true` (pessimistic).
+    ///
+    /// Successors are pushed in ascending order, "seen" is tested both
+    /// before a push and at a pop, and only newly seen nodes count against
+    /// the budget, so the nodes visited — and hence every answer, budget
+    /// exhaustion included — depend only on the live quotient. The seen set
+    /// is the stamp array under a fresh epoch; no probe allocates.
     fn reaches(&mut self, from: &[u32], target: u32, budget: usize) -> bool {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale stamps could equal the new epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.stack.clear();
+        self.stack.extend_from_slice(from);
+        let mut visited = 0usize;
+        while let Some(x) = self.stack.pop() {
+            if x == target {
+                return true;
+            }
+            if self.stamp[x as usize] == epoch {
+                continue;
+            }
+            self.stamp[x as usize] = epoch;
+            visited += 1;
+            if visited > budget {
+                return true;
+            }
+            for &s in &self.succs[x as usize] {
+                if self.stamp[s as usize] != epoch {
+                    self.stack.push(s);
+                }
+            }
+        }
+        false
+    }
+
+    /// The `BTreeSet` probe [`Builder::reaches`] replaced, kept as its
+    /// reference: the answer plus the set of nodes the probe marked seen.
+    #[cfg(test)]
+    fn reaches_reference(&self, from: &[u32], target: u32, budget: usize) -> (bool, BTreeSet<u32>) {
         let mut seen: BTreeSet<u32> = BTreeSet::new();
         let mut stack: Vec<u32> = from.to_vec();
         let mut visited = 0usize;
         while let Some(x) = stack.pop() {
             if x == target {
-                return true;
+                return (true, seen);
             }
             if !seen.insert(x) {
                 continue;
             }
             visited += 1;
             if visited > budget {
-                return true;
+                return (true, seen);
             }
             for &s in &self.succs[x as usize] {
                 if !seen.contains(&s) {
@@ -352,7 +430,7 @@ impl Builder {
                 }
             }
         }
-        false
+        (false, seen)
     }
 
     /// Endpoint pass: absorb sources into a successor (and sinks into a
@@ -361,46 +439,41 @@ impl Builder {
     /// target (symmetrically for sinks).
     fn endpoint_pass(&mut self, budget: usize) -> bool {
         let mut changed = false;
+        // Reused across regions and candidates. Both stay ascending (the
+        // frontier is copied out of an ordered adjacency set), so probes
+        // run in the order the decomposition's determinism depends on.
+        let mut frontier: Vec<u32> = Vec::new();
+        let mut others: Vec<u32> = Vec::new();
         for r in self.reps() {
             if self.parent[r as usize] != r {
                 continue;
             }
-            let (is_source, frontier) =
-                if self.preds[r as usize].is_empty() && !self.succs[r as usize].is_empty() {
-                    (
-                        true,
-                        self.succs[r as usize].iter().copied().collect::<Vec<_>>(),
-                    )
-                } else if self.succs[r as usize].is_empty() && !self.preds[r as usize].is_empty() {
-                    (
-                        false,
-                        self.preds[r as usize].iter().copied().collect::<Vec<_>>(),
-                    )
-                } else {
-                    continue;
-                };
-            if frontier.len() == 1 {
-                continue; // series pass already owns this case
+            let is_source = if self.preds[r as usize].is_empty() {
+                frontier.clear();
+                frontier.extend(&self.succs[r as usize]);
+                true
+            } else if self.succs[r as usize].is_empty() {
+                frontier.clear();
+                frontier.extend(&self.preds[r as usize]);
+                false
+            } else {
+                continue;
+            };
+            if frontier.len() <= 1 {
+                continue; // isolated, or the series pass owns this case
             }
             for &cand in &frontier {
                 if !self.fits(r, cand) {
                     continue;
                 }
                 let safe = if is_source {
-                    let others: Vec<u32> =
-                        frontier.iter().copied().filter(|&x| x != cand).collect();
+                    others.clear();
+                    others.extend(frontier.iter().filter(|&&x| x != cand));
                     !self.reaches(&others, cand, budget)
                 } else {
-                    let others: BTreeSet<u32> =
-                        frontier.iter().copied().filter(|&x| x != cand).collect();
-                    let mut hit = false;
-                    for &t in &others {
-                        if self.reaches(&[cand], t, budget) {
-                            hit = true;
-                            break;
-                        }
-                    }
-                    !hit
+                    !frontier
+                        .iter()
+                        .any(|&t| t != cand && self.reaches(&[cand], t, budget))
                 };
                 if safe {
                     self.merge(r, cand, CHAIN_BIT);
@@ -420,21 +493,7 @@ impl Builder {
 /// are ordered.
 pub fn decompose_with(g: &Graph, opts: DecomposeOptions) -> RegionTree {
     let n = g.op_count();
-    let mut b = Builder {
-        parent: (0..n as u32).collect(),
-        size: vec![1; n],
-        bits: vec![0; n],
-        preds: vec![BTreeSet::new(); n],
-        succs: vec![BTreeSet::new(); n],
-        cap: opts.max_region_ops.max(1),
-    };
-    for e in g.iter_edges() {
-        let (s, d) = (e.src.index() as u32, e.dst.index() as u32);
-        if s != d {
-            b.succs[s as usize].insert(d);
-            b.preds[d as usize].insert(s);
-        }
-    }
+    let mut b = Builder::new(g, opts.max_region_ops);
 
     let mut rounds = 0usize;
     while rounds < opts.max_rounds {
@@ -818,6 +877,186 @@ mod tests {
         assert!(
             distinct.len() < hashes.len(),
             "repeated blocks must share at least one region hash: {hashes:?}"
+        );
+    }
+
+    /// SplitMix64: a tiny seeded generator, so the tests need no crate.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A seeded random DAG: a core where each op follows its predecessor
+    /// about half the time and draws up to three more inputs from earlier
+    /// ops (fan-out and fan-in), then extra sources wired into the core
+    /// (source-heavy seeds) and extra sinks fed from it (sink-heavy seeds).
+    fn random_dag(seed: u64) -> Graph {
+        let mut rng = SplitMix64(seed);
+        let core = 16 + rng.below(64) as usize;
+        let (sources, sinks) = match seed % 3 {
+            0 => (rng.below(4), rng.below(4)),
+            1 => (8 + rng.below(24), rng.below(4)),
+            _ => (rng.below(4), 8 + rng.below(24)),
+        };
+        let mut g = Graph::new();
+        let op = |g: &mut Graph, name: String, flops: u64| {
+            g.add_op(Operation::new(name, OpKind::Relu, [4, 4]).with_flops(flops))
+                .unwrap()
+        };
+        let wire = |g: &mut Graph, rng: &mut SplitMix64, s: OpId, d: OpId| {
+            if g.out_edges(s).all(|e| e.dst != d) {
+                g.connect_bytes(s, d, 64 * (1 + rng.below(4))).unwrap();
+            }
+        };
+        let mut ids: Vec<OpId> = Vec::new();
+        for i in 0..core {
+            let id = op(&mut g, format!("core{i}"), 16 * (1 + rng.below(3)));
+            if i > 0 {
+                if rng.below(2) == 0 {
+                    wire(&mut g, &mut rng, ids[i - 1], id);
+                }
+                for _ in 0..rng.below(4) {
+                    let p = ids[rng.below(i as u64) as usize];
+                    wire(&mut g, &mut rng, p, id);
+                }
+            }
+            ids.push(id);
+        }
+        for i in 0..sources {
+            let id = op(&mut g, format!("src{i}"), 8);
+            for _ in 0..1 + rng.below(4) {
+                let d = ids[rng.below(core as u64) as usize];
+                wire(&mut g, &mut rng, id, d);
+            }
+        }
+        for i in 0..sinks {
+            let id = op(&mut g, format!("sink{i}"), 8);
+            for _ in 0..1 + rng.below(4) {
+                let s = ids[rng.below(core as u64) as usize];
+                wire(&mut g, &mut rng, s, id);
+            }
+        }
+        g
+    }
+
+    /// FNV-1a over a tree: canonical hash, rounds, each region's ops and
+    /// hash, then the quotient edges.
+    fn tree_fnv(h: &mut u64, t: &RegionTree) {
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                *h ^= b as u64;
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        mix(t.canonical_hash());
+        mix(t.rounds() as u64);
+        for (_, r) in t.regions() {
+            mix(r.ops.len() as u64);
+            for op in &r.ops {
+                mix(op.index() as u64);
+            }
+            mix(r.hash);
+        }
+        for &(s, d, bytes) in t.quotient_edges() {
+            mix(s.0 as u64);
+            mix(d.0 as u64);
+            mix(bytes);
+        }
+    }
+
+    /// The stamped probe answers exactly as the `BTreeSet` reference and
+    /// marks exactly the nodes the reference's set holds (the same DFS
+    /// path), on partly contracted random DAGs, for multi-source queries at
+    /// budgets small enough that exhaustion decides many answers — and
+    /// across an epoch wrap, which must clear stale stamps.
+    #[test]
+    fn stamped_reaches_matches_reference() {
+        const BUDGETS: [usize; 5] = [4096, 8, 2, 1, 0];
+        let (mut reachable, mut unreachable, mut budget_bound) = (0, 0, 0);
+        for seed in 0..96 {
+            let g = random_dag(seed);
+            let mut rng = SplitMix64(seed ^ 0x5eed);
+            let mut b = Builder::new(&g, 4 + rng.below(13) as usize);
+            for _ in 0..rng.below(3) {
+                b.series_pass();
+                b.bundle_pass();
+            }
+            let reps = b.reps();
+            let pick = |rng: &mut SplitMix64| reps[rng.below(reps.len() as u64) as usize];
+            for q in 0..48 {
+                if q == 24 {
+                    // The next probe wraps to epoch 1, which query 0's
+                    // first probe stamped.
+                    b.epoch = u32::MAX;
+                }
+                let from: Vec<u32> = (0..1 + rng.below(4)).map(|_| pick(&mut rng)).collect();
+                let target = pick(&mut rng);
+                let mut answers = Vec::new();
+                for k in BUDGETS {
+                    let (want, want_seen) = b.reaches_reference(&from, target, k);
+                    let got = b.reaches(&from, target, k);
+                    let seen: BTreeSet<u32> = (0..b.stamp.len() as u32)
+                        .filter(|&x| b.stamp[x as usize] == b.epoch)
+                        .collect();
+                    let ctx = format!("seed {seed} query {q}: {from:?} -> {target} at budget {k}");
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(seen, want_seen, "{ctx}: visited set differs");
+                    answers.push(want);
+                }
+                if answers[0] {
+                    reachable += 1;
+                } else {
+                    unreachable += 1;
+                }
+                if answers[1] != answers[0] {
+                    budget_bound += 1;
+                }
+            }
+        }
+        assert!(reachable > 0 && unreachable > 0);
+        assert!(budget_bound > 0, "a budget of 8 must decide some answers");
+    }
+
+    /// Pinned: the trees of 64 random DAGs at the default probe budget and
+    /// at a budget of 8 (where exhaustion binds). Recorded before the
+    /// reachability probe moved to stamped, reused buffers; any change to
+    /// the endpoint pass's answers moves this hash.
+    #[test]
+    fn random_dag_trees_are_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut budget_binds = 0;
+        for seed in 0..64 {
+            let g = random_dag(seed);
+            let opts = DecomposeOptions::for_graph(&g);
+            let full = decompose_with(&g, opts);
+            let tight = decompose_with(
+                &g,
+                DecomposeOptions {
+                    dfs_budget: 8,
+                    ..opts
+                },
+            );
+            if full.canonical_hash() != tight.canonical_hash() {
+                budget_binds += 1;
+            }
+            tree_fnv(&mut h, &full);
+            tree_fnv(&mut h, &tight);
+        }
+        assert!(budget_binds > 0, "a budget of 8 must change some tree");
+        assert_eq!(
+            h, 0xcc0f_407d_43de_5e83,
+            "random-DAG decompositions moved ({budget_binds} budget-bound)"
         );
     }
 

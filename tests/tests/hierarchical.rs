@@ -1,8 +1,9 @@
 //! Hierarchical placement smoke tests (CI `hierarchical` step): the
 //! decomposition collapses stacked models by an order of magnitude, the
 //! expanded placement passes the flat planners' checker, arbitration stays
-//! deterministic under a fixed seed, and depth-siblings reuse region-level
-//! sub-plans from the shared cache.
+//! deterministic under a fixed seed, depth-siblings reuse region-level
+//! sub-plans from the shared cache, and a memo-served plan reports its own
+//! decomposition time.
 
 use fastt::{
     DposPlanner, HierarchicalPlanner, PlanCache, Planner, PlanningContext, Portfolio,
@@ -13,6 +14,8 @@ use fastt_cost::CostModels;
 use fastt_graph::{build_training_graph, decompose, RegionKind};
 use fastt_models::stacked_transformer;
 use fastt_sim::{HardwarePerf, SimConfig};
+use fastt_telemetry::{Collector, MemorySink};
+use std::sync::Arc;
 
 #[test]
 fn stacked_transformer_decomposes_an_order_of_magnitude() {
@@ -137,4 +140,37 @@ fn depth_siblings_share_region_sub_plans() {
     // fleet's pinned twin-admission invariant reads stay untouched.
     assert_eq!(cache.hits(), 0);
     assert_eq!(cache.misses(), 0);
+}
+
+/// The decomposition time a plan reports is what that call spent. Two
+/// plans of a graph no other test in this binary builds: the first pays
+/// the cold decomposition, the second is a memo hit that says so and
+/// reports less time than the first.
+#[test]
+fn repeat_plan_reports_memo_hit_and_its_own_decompose_time() {
+    let g = build_training_graph(&stacked_transformer(128, 10)).unwrap();
+    let topo = Topology::single_server(2);
+    let hw = HardwarePerf::new();
+    let plan = || {
+        let sink = Arc::new(MemorySink::with_default_capacity());
+        let col = Arc::new(Collector::new().with_sink(sink.clone()));
+        let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new()).with_collector(col);
+        HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+        let ev = sink
+            .events_of("hier.plan")
+            .pop()
+            .expect("hier.plan emitted");
+        (
+            ev.field("decompose_cached").as_bool().unwrap(),
+            ev.num("decompose_secs").unwrap(),
+        )
+    };
+    let (cold_cached, cold_secs) = plan();
+    let (warm_cached, warm_secs) = plan();
+    assert!(!cold_cached, "the first plan decomposes");
+    assert!(warm_cached, "the second plan is served by the memo");
+    assert!(
+        warm_secs < cold_secs,
+        "a memo hit reports its own time: {warm_secs} s vs cold {cold_secs} s"
+    );
 }

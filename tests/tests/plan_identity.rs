@@ -11,14 +11,24 @@
 //! idle-slot search and per-run route/price tables were rewritten, and pin
 //! the upward ranks, DPOS's execution order and estimate, and the
 //! order-only path on the data-parallel placement.
+//!
+//! The decomposition pins at the end fix region trees (canonical hash,
+//! rounds, region count, and each region's members and hash plus the
+//! quotient edges) of data-parallel base graphs and one raw graph, and a
+//! hierarchical plan on the stacked Transformer. They were recorded before
+//! the endpoint pass's reachability probe moved to a stamped visit array
+//! and reused buffers.
 
 use fastt::{
-    data_parallel_plan_on, dpos, os_dpos, schedule_for_placement, upward_ranks, OsDposOptions,
+    data_parallel_plan_on, dpos, os_dpos, schedule_for_placement, upward_ranks,
+    HierarchicalPlanner, OsDposOptions, Planner, PlanningContext,
 };
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
-use fastt_graph::{replicate_grouped, Graph, OpId, ReplicationMode};
-use fastt_models::Model;
+use fastt_graph::{
+    build_training_graph, decompose, replicate_grouped, Graph, OpId, ReplicationMode,
+};
+use fastt_models::{stacked_transformer, Model};
 use fastt_sim::{simulate, ExecPolicy, HardwarePerf, Placement, SimConfig};
 
 /// Cost models learned the way the bootstrap does it: every op alone on
@@ -289,5 +299,185 @@ fn gnmt4_dpos_2x2_degraded() {
             dp_est_finish: 0x7ff0_0000_0000_0000,
             dp_order: 0x2ab5_d86f_7b73_9ff2,
         },
+    );
+}
+
+/// What one decomposition pin fixes: the tree's canonical hash, its
+/// collapse rounds and region count, and an FNV hash of its layout (each
+/// region's member ops and hash, then the quotient edges).
+#[derive(Debug, PartialEq, Eq)]
+struct TreeSignature {
+    canonical: u64,
+    rounds: usize,
+    regions: usize,
+    layout: u64,
+}
+
+fn tree_signature(graph: &Graph) -> TreeSignature {
+    let tree = decompose(graph);
+    let mut h = Fnv::new();
+    for (_, r) in tree.regions() {
+        h.mix(&(r.ops.len() as u64).to_le_bytes());
+        for op in &r.ops {
+            h.mix(&(op.index() as u64).to_le_bytes());
+        }
+        h.mix(&r.hash.to_le_bytes());
+    }
+    for &(s, d, bytes) in tree.quotient_edges() {
+        h.mix(&s.0.to_le_bytes());
+        h.mix(&d.0.to_le_bytes());
+        h.mix(&bytes.to_le_bytes());
+    }
+    TreeSignature {
+        canonical: tree.canonical_hash(),
+        rounds: tree.rounds(),
+        regions: tree.len(),
+        layout: h.0,
+    }
+}
+
+/// The data-parallel base graph of `graph` on `topo`: one replica per GPU,
+/// grouped by server, gradients through a parameter server — the graph a
+/// session plans from when data parallelism fits.
+fn dp_base(graph: &Graph, topo: &Topology) -> Graph {
+    let groups: Vec<u16> = topo.gpu_ids().map(|d| topo.server_of(d)).collect();
+    replicate_grouped(graph, &groups, ReplicationMode::ParameterServer)
+        .unwrap()
+        .graph
+}
+
+/// Layers of the pinned stacked Transformer: deep enough that the endpoint
+/// pass probes a replicated stack, shallow enough to keep a debug-build
+/// decomposition far under a second.
+const STACK_DEPTH: u32 = 32;
+
+/// The stacked Transformer's data-parallel base graph on 1x2.
+fn stack_base() -> (Graph, Topology) {
+    let topo = Topology::single_server(2);
+    let raw = build_training_graph(&stacked_transformer(64, STACK_DEPTH)).unwrap();
+    (dp_base(&raw, &topo), topo)
+}
+
+fn check_tree(graph: &Graph, want: TreeSignature) {
+    let got = tree_signature(graph);
+    assert_eq!(got, want, "decomposition of {} ops moved", graph.op_count());
+}
+
+#[test]
+fn stack_dp_1x2_decomposition() {
+    let (g, _) = stack_base();
+    check_tree(
+        &g,
+        TreeSignature {
+            canonical: 0x0fc8_3d8d_7e1a_6c78,
+            rounds: 4,
+            regions: 402,
+            layout: 0x3d4b_cb56_f358_a512,
+        },
+    );
+}
+
+#[test]
+fn resnet200_dp_1x4_decomposition() {
+    let g = dp_base(
+        &Model::ResNet200.training_graph(8),
+        &Topology::single_server(4),
+    );
+    check_tree(
+        &g,
+        TreeSignature {
+            canonical: 0x2684_7737_9347_cd46,
+            rounds: 5,
+            regions: 1605,
+            layout: 0x08bb_bcfa_c2a3_ab86,
+        },
+    );
+}
+
+#[test]
+fn bert_large_dp_1x4_decomposition() {
+    let g = dp_base(
+        &Model::BertLarge.training_graph(4),
+        &Topology::single_server(4),
+    );
+    check_tree(
+        &g,
+        TreeSignature {
+            canonical: 0x1b6d_f1c4_e655_59fb,
+            rounds: 4,
+            regions: 875,
+            layout: 0x5162_f17a_d0db_c206,
+        },
+    );
+}
+
+#[test]
+fn transformer_dp_2x2_decomposition() {
+    let g = dp_base(
+        &Model::Transformer.training_graph(64),
+        &Topology::multi_server(2, 2),
+    );
+    check_tree(
+        &g,
+        TreeSignature {
+            canonical: 0xecdd_6be0_ed1e_d151,
+            rounds: 8,
+            regions: 616,
+            layout: 0xb47d_f0c2_8f89_d2fe,
+        },
+    );
+}
+
+#[test]
+fn gnmt4_dp_2x2_decomposition() {
+    let g = dp_base(
+        &Model::Gnmt4.training_graph(16),
+        &Topology::multi_server(2, 2),
+    );
+    check_tree(
+        &g,
+        TreeSignature {
+            canonical: 0x9363_8bd3_9bfe_2659,
+            rounds: 5,
+            regions: 1816,
+            layout: 0xb1ed_5ee4_536d_192f,
+        },
+    );
+}
+
+#[test]
+fn vgg19_raw_decomposition() {
+    check_tree(
+        &Model::Vgg19.training_graph(16),
+        TreeSignature {
+            canonical: 0x5908_695f_2148_cb2a,
+            rounds: 4,
+            regions: 10,
+            layout: 0x3e22_e44c_5509_2dbd,
+        },
+    );
+}
+
+/// The hierarchical planner on the stacked Transformer's base graph:
+/// placement hash and `est_finish` bits.
+#[test]
+fn stack_dp_1x2_hierarchical_plan() {
+    let (g, topo) = stack_base();
+    let hw = HardwarePerf::new();
+    let cost = profiled_costs(&g, &topo);
+    let mut ctx = PlanningContext::new(&g, &topo, &hw, cost);
+    let plan = HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+    plan.placement.validate(&g, &topo).unwrap();
+    let got = (
+        plan.est_finish.to_bits(),
+        placement_hash(&g, &plan.placement),
+    );
+    assert_eq!(
+        got,
+        (0x3fa8_f975_72b5_a481, 0x3b42_2762_5e88_18f2),
+        "hierarchical plan moved: est_finish {} (bits {:#x}), hash {:#x}",
+        plan.est_finish,
+        got.0,
+        got.1
     );
 }
