@@ -482,8 +482,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     elasticity_section(&events);
 
     println!("\n--- Top 10 queue-wait ops (final plan, one iteration) ---");
+    // The final plan runs on the live view: under elastic churn it can
+    // place ops on GPUs that joined after launch.
     let plan = session.current_plan();
-    let trace = plan.simulate(&topo, &HardwarePerf::new(), &SimConfig::default())?;
+    let live = session.topology();
+    let trace = plan.simulate(live, &HardwarePerf::new(), &SimConfig::default())?;
     let names: Vec<String> = plan.graph.iter_ops().map(|(_, o)| o.name.clone()).collect();
     let top = trace.top_queue_waits(10);
     if top.is_empty() {
@@ -531,7 +534,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             graph: &plan.graph,
             raw: None,
             current: Some(plan),
-            topo: &topo,
+            topo: live,
             hw: &HardwarePerf::new(),
             cost: &session.cost,
             collector: None,
@@ -626,9 +629,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record_mem_timeline: true,
         ..SimConfig::default()
     };
-    let full = plan.simulate(&topo, &HardwarePerf::new(), &full_cfg)?;
+    let full = plan.simulate(live, &HardwarePerf::new(), &full_cfg)?;
     let trace_path = outdir.join(format!("{needle}-{topo_label}.trace.json"));
-    std::fs::write(&trace_path, full.to_chrome_trace_full(&names, &topo))?;
+    std::fs::write(&trace_path, full.to_chrome_trace_full(&names, live))?;
     println!("\nperfetto trace: {}", trace_path.display());
     println!("event stream  : {}", jsonl_path.display());
     Ok(())

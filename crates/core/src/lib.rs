@@ -77,6 +77,8 @@ pub use planner::{
 };
 pub use profiling::bootstrap_cost_models;
 pub use rank::{critical_path, critical_path_placed, upward_ranks};
-pub use session::{LadderRung, PreTrainReport, RecoveryEvent, SessionConfig, TrainingSession};
+pub use session::{
+    LadderRung, PreTrainReport, RecoveryEvent, SessionConfig, TrainingSession, DEGRADED_SLOWDOWN,
+};
 pub use strategy::{data_parallel_plan, data_parallel_plan_on, model_parallel_plan, Plan};
 pub use timeline::DeviceTimeline;

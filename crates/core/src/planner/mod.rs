@@ -53,6 +53,7 @@ pub use builtin::{
 pub use cache::{Fingerprint, FingerprintContext, PlanCache};
 pub use context::PlanningContext;
 pub use hierarchical::{region_tree_for, HierarchicalPlanner};
+pub(crate) use portfolio::lowest_score;
 pub use portfolio::{CandidateOutcome, Portfolio, PortfolioInputs, PortfolioOutcome};
 
 use crate::error::FastTError;

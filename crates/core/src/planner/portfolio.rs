@@ -104,6 +104,20 @@ impl PortfolioOutcome {
     }
 }
 
+/// The index of the strictly lowest score, ties to the earliest; `None`
+/// and NaN scores never win. Every arbitration in the crate ranks through
+/// this one rule, so callers encode preference by ordering candidates.
+pub(crate) fn lowest_score(scores: impl IntoIterator<Item = Option<f64>>) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, s) in scores.into_iter().enumerate() {
+        match s {
+            Some(s) if !s.is_nan() && best.is_none_or(|(_, b)| s < b) => best = Some((i, s)),
+            _ => {}
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
 /// An ordered set of [`Planner`]s evaluated concurrently — one OS thread
 /// per non-cached planner via [`std::thread::scope`], each with its own
 /// cost-model clone, all sharing one telemetry collector.
@@ -341,25 +355,13 @@ impl Portfolio {
 
         // Arbitration: lowest score wins, ties to the earliest planner.
         let score = |c: &CandidateOutcome| -> Option<f64> {
-            let s = if inputs.probe.is_some() {
-                c.simulated?
+            if inputs.probe.is_some() {
+                c.simulated
             } else {
-                c.est_finish()
-            };
-            (!s.is_nan()).then_some(s)
-        };
-        let mut winner: Option<usize> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            if let Some(s) = score(c) {
-                let better = match winner {
-                    Some(w) => s < score(&candidates[w]).unwrap_or(f64::INFINITY),
-                    None => true,
-                };
-                if better {
-                    winner = Some(i);
-                }
+                Some(c.est_finish())
             }
-        }
+        };
+        let winner = lowest_score(candidates.iter().map(score));
 
         if let Some(col) = &col {
             for (i, c) in candidates.iter().enumerate() {

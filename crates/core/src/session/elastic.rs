@@ -1,14 +1,21 @@
 //! The capacity lifecycle: spot revocations and drains, quarantine-gated
-//! re-admission, hot-adds, link restores, the promotion ladder — and the
-//! fleet manager's explicit grant/preempt entry points, which reuse the
-//! same ladders over the session's allocation.
+//! re-admission, hot-adds, link restores — and the fleet manager's
+//! explicit grant/preempt entry points. Lost capacity ends in
+//! `replan(Lost(..))`, grown capacity in `replan(Grown)` (the promotion
+//! ladder).
 
-use super::{replicas_of, LadderRung, RecoveryEvent, TrainingSession};
+use super::replan::Trigger;
+use super::{RecoveryEvent, TrainingSession};
 use crate::error::FastTError;
-use crate::planner::PlannerKind;
 use fastt_cluster::{DeviceHealth, DeviceId};
 use fastt_sim::{FaultSchedule, LifecycleKind};
 use fastt_telemetry::jobj;
+
+/// Iterations a re-admitted device spends in quarantine before it rejoins
+/// the plannable capacity. Re-admission is explicit: a device that dies
+/// again mid-quarantine is dropped and a fresh arrival must restart the
+/// ladder — flapping devices are never auto-readmitted.
+const QUARANTINE_ITERS: u64 = 2;
 
 impl TrainingSession {
     /// Applies every scripted lifecycle event that has come due — spot
@@ -65,7 +72,7 @@ impl TrainingSession {
             }
         }
         if self.pending_promotion {
-            self.try_promote()?;
+            self.replan(Trigger::Grown)?;
         }
         Ok(())
     }
@@ -98,7 +105,6 @@ impl TrainingSession {
         }
         self.alloc.topo_mut().fail_device(device);
         self.alloc.health_mut().mark_failed(device);
-        self.cost.bind_topology(self.alloc.topo());
         self.recovery_log
             .push(RecoveryEvent::Drained { device, iteration });
         if let Some(col) = &self.collector {
@@ -112,16 +118,14 @@ impl TrainingSession {
                 "deadline" => deadline,
             },
         );
-        if self.alloc.topo().gpu_count() == 0 {
-            return Err(FastTError::ClusterExhausted);
-        }
-        self.replan_and_degrade(iteration, "revocation_drain")
+        self.replan(Trigger::Lost("revocation_drain"))?;
+        Ok(())
     }
 
     /// A device (re-)announced itself. Re-admission is explicit: the
     /// device enters quarantine (`Failed` → `Quarantined` in the
     /// [`fastt_cluster::HealthMap`]) and only rejoins the plannable
-    /// capacity after `quarantine_iters` iterations of probation. Arrivals
+    /// capacity after [`QUARANTINE_ITERS`] iterations of probation. Arrivals
     /// for devices outside the session's allocation are ignored — under a
     /// fleet manager they belong to some other job.
     fn handle_arrival(&mut self, device: DeviceId) {
@@ -143,11 +147,11 @@ impl TrainingSession {
             jobj! {
                 "device" => device.0 as u64,
                 "iteration" => iteration,
-                "until" => iteration + self.config.quarantine_iters,
+                "until" => iteration + QUARANTINE_ITERS,
             },
         );
         self.pending_restores
-            .push((iteration + self.config.quarantine_iters, device));
+            .push((iteration + QUARANTINE_ITERS, device));
     }
 
     /// Ends a device's quarantine. Unless it died again or its server is
@@ -239,93 +243,6 @@ impl TrainingSession {
         self.pending_promotion = true;
     }
 
-    /// The promotion ladder (the growth mirror of
-    /// [`Self::replan_and_degrade`]): re-plan over the enlarged survivor
-    /// set and adopt the winner only when its probed **per-replica** time
-    /// beats the incumbent's by the hysteresis margin. Per replica,
-    /// because the session replicates the training graph once per live
-    /// GPU — a plan over more GPUs does proportionally more work per
-    /// iteration, so raw makespans are not comparable across replica
-    /// counts. Hysteresis (a cooldown between attempts plus a minimum
-    /// improvement) keeps spot churn from thrashing plans. Promotion is
-    /// opportunistic: a planning dead end holds the incumbent instead of
-    /// failing the iteration.
-    pub(super) fn try_promote(&mut self) -> Result<(), FastTError> {
-        let iteration = self.iteration;
-        if let Some(last) = self.last_promotion_attempt {
-            if iteration < last + self.config.promote_cooldown_iters {
-                return Ok(()); // still cooling down; the attempt stays pending
-            }
-        }
-        self.pending_promotion = false;
-        self.last_promotion_attempt = Some(iteration);
-        let probe = self.probe_config();
-        let incumbent_raw = self
-            .current
-            .simulate(self.alloc.topo(), &self.hw, &probe)
-            .map(|t| t.makespan)
-            .unwrap_or(f64::INFINITY);
-        let incumbent = incumbent_raw / replicas_of(&self.current) as f64;
-        let survivors = self.alloc.topo().gpu_count();
-        let (mut merged, _) = self.plan_candidates_over_survivors(probe);
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (i, c) in merged.iter().enumerate() {
-            let (Some(m), Some(p)) = (c.simulated, c.plan.as_ref()) else {
-                continue;
-            };
-            let score = m / replicas_of(p) as f64;
-            if best.is_none_or(|(_, s, _)| score < s) {
-                best = Some((i, score, m));
-            }
-        }
-        let adopt =
-            best.filter(|&(_, score, _)| score < incumbent * (1.0 - self.config.promote_margin));
-        let Some((i, score, raw)) = adopt else {
-            if let Some(col) = &self.collector {
-                col.metrics().inc("session.promotions_held");
-            }
-            self.emit(
-                "session.promotion_held",
-                jobj! {
-                    "iteration" => iteration,
-                    "survivors" => survivors as u64,
-                    "incumbent" => incumbent,
-                    "candidate" => best.map(|(_, s, _)| s).unwrap_or(f64::INFINITY),
-                    "margin" => self.config.promote_margin,
-                },
-            );
-            return Ok(());
-        };
-        let c = &mut merged[i];
-        let kind = match c.kind {
-            PlannerKind::StartStrategy => c.planner,
-            _ => "replan",
-        };
-        self.rung = LadderRung::of_kind(kind);
-        self.current = c.plan.take().expect("probed plan");
-        self.measured = raw;
-        self.recovery_log.push(RecoveryEvent::Promoted {
-            survivors,
-            kind,
-            iteration,
-        });
-        if let Some(col) = &self.collector {
-            col.metrics().inc("session.promotions");
-        }
-        self.emit(
-            "session.promoted",
-            jobj! {
-                "iteration" => iteration,
-                "kind" => kind,
-                "rung" => self.rung.label(),
-                "survivors" => survivors as u64,
-                "incumbent" => incumbent,
-                "candidate" => score,
-            },
-        );
-        Ok(())
-    }
-
     /// Fleet preemption: revokes `devices` from the session's allocation —
     /// each is drained exactly like a spot revocation with notice
     /// ([`RecoveryEvent::Drained`]) — then re-plans over the survivors
@@ -368,11 +285,8 @@ impl TrainingSession {
         if !changed {
             return Ok(());
         }
-        self.cost.bind_topology(self.alloc.topo());
-        if self.alloc.topo().gpu_count() == 0 {
-            return Err(FastTError::ClusterExhausted);
-        }
-        self.replan_and_degrade(iteration, "preempted")
+        self.replan(Trigger::Lost("preempted"))?;
+        Ok(())
     }
 
     /// Fleet growth: grants `devices` to the session's allocation. This is
@@ -427,6 +341,7 @@ impl TrainingSession {
         self.cost.bind_topology(self.alloc.topo());
         self.pending_promotion = true;
         self.last_promotion_attempt = None;
-        self.try_promote()
+        self.replan(Trigger::Grown)?;
+        Ok(())
     }
 }

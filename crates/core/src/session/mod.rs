@@ -14,18 +14,21 @@
 //! physical cluster ([`TrainingSession::with_allocation`]) while
 //! single-job sessions keep the classic whole-cluster behaviour
 //! ([`TrainingSession::new`]). The workflow is split across submodules:
-//! this file holds the profile → recompute → activate/rollback loop,
-//! `recovery` the failure ladder, and `elastic` the capacity lifecycle
-//! (spot churn, quarantine, promotion, fleet grants and preemptions).
+//! this file holds the profile → re-plan loop of pre-training and normal
+//! training, `recovery` the failure handlers, and `elastic` the capacity
+//! lifecycle (spot churn, quarantine, fleet grants and preemptions). Every
+//! plan change goes through one entry point, `replan(trigger)` in
+//! `replan`: a pre-training round, a drift re-plan, lost capacity, or grown
+//! capacity each pick a candidate set and one adoption rule there.
 
 mod elastic;
 mod recovery;
+mod replan;
 
 use crate::error::FastTError;
 use crate::planner::{
-    DataParallelPlanner, DposPlanner, HierarchicalPlanner, ModelParallelPlanner, OrderOnlyPlanner,
-    OsDposPlanner, PlanCache, Planner, PlannerKind, PlanningContext, Portfolio, PortfolioInputs,
-    PortfolioOutcome,
+    DataParallelPlanner, DposPlanner, HierarchicalPlanner, ModelParallelPlanner, OsDposPlanner,
+    PlanCache, Planner, Portfolio, PortfolioInputs, PortfolioOutcome,
 };
 use crate::strategy::Plan;
 use fastt_cluster::{Allocation, DeviceHealth, DeviceId, HealthMap, Topology};
@@ -33,9 +36,9 @@ use fastt_cost::CostModels;
 use fastt_graph::Graph;
 use fastt_sim::{FaultSchedule, HardwarePerf, RunTrace, SimConfig, SimError};
 use fastt_telemetry::{jobj, Collector, Value};
+use replan::Trigger;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Session tuning knobs.
 #[derive(Debug, Clone)]
@@ -44,15 +47,8 @@ pub struct SessionConfig {
     pub profile_iters: u32,
     /// Maximum bootstrap rounds before pre-training is forced to end.
     pub max_rounds: u32,
-    /// Relative cost-model drift below which the models count as stable.
-    pub stability_eps: f64,
-    /// Simulated execution-time noise (matches real profiling variance).
-    pub jitter_pct: f64,
     /// Seed for the deterministic noise stream.
     pub seed: u64,
-    /// Enable OS-DPOS operation splitting (disable for the paper's
-    /// "No split" ablation, Table 6).
-    pub enable_split: bool,
     /// Enable order enforcement (disable for the paper's Fig. 2 baseline).
     pub enable_order: bool,
     /// Where the data-parallel start strategy keeps shared variables:
@@ -64,28 +60,6 @@ pub struct SessionConfig {
     /// iteration (see [`FaultSchedule`]); `None` trains on a healthy
     /// cluster with behaviour bit-identical to a fault-free build.
     pub faults: Option<Arc<FaultSchedule>>,
-    /// Transient-failure retries per iteration before the failing device is
-    /// blacklisted and the session re-plans.
-    pub max_transient_retries: u32,
-    /// Base of the exponential retry backoff, in seconds: attempt `k`
-    /// backs off `retry_backoff_base * 2^k`. Reported through
-    /// `session.retry` telemetry (the simulated cluster does not actually
-    /// sleep).
-    pub retry_backoff_base: f64,
-    /// Measured-over-predicted per-device duration ratio above which a
-    /// device is flagged as degraded (`health.degraded`).
-    pub degraded_slowdown: f64,
-    /// Iterations a re-admitted device spends in quarantine before it
-    /// rejoins the plannable capacity. Re-admission is explicit: a device
-    /// that dies again mid-quarantine is dropped and a fresh arrival must
-    /// restart the ladder — flapping devices are never auto-readmitted.
-    pub quarantine_iters: u64,
-    /// Minimum iterations between promotion attempts after capacity
-    /// growth (hysteresis: keeps spot churn from thrashing plans).
-    pub promote_cooldown_iters: u64,
-    /// Relative per-replica improvement a growth candidate must show over
-    /// the incumbent before it is promoted (hysteresis margin).
-    pub promote_margin: f64,
     /// Salt folded into plan-cache fingerprints once the session's cost
     /// models have been fitted (generation > 0). Jobs sharing one
     /// [`PlanCache`] must use distinct salts so their independently
@@ -101,19 +75,10 @@ impl Default for SessionConfig {
         SessionConfig {
             profile_iters: 3,
             max_rounds: 6,
-            stability_eps: 0.05,
-            jitter_pct: 0.02,
             seed: 7,
-            enable_split: true,
             enable_order: true,
             dp_ps: None,
             faults: None,
-            max_transient_retries: 4,
-            retry_backoff_base: 0.05,
-            degraded_slowdown: 1.5,
-            quarantine_iters: 2,
-            promote_cooldown_iters: 3,
-            promote_margin: 0.02,
             cache_salt: 0,
         }
     }
@@ -138,13 +103,14 @@ pub enum LadderRung {
 }
 
 impl LadderRung {
-    /// The rung a replan/fallback kind string lands on.
-    fn of_kind(kind: &str) -> LadderRung {
-        match kind {
-            "data_parallel_allreduce" => LadderRung::RingDp,
-            "data_parallel" => LadderRung::PsDp,
-            "model_parallel" => LadderRung::Mp,
-            _ => LadderRung::Replanned,
+    /// The `kind` a recovery-log entry records for a plan adopted on this
+    /// rung: `"replan"` or the winning start strategy's planner name.
+    fn kind(self) -> &'static str {
+        match self {
+            LadderRung::Mp => "model_parallel",
+            LadderRung::PsDp => "data_parallel",
+            LadderRung::RingDp => "data_parallel_allreduce",
+            LadderRung::Replanned => "replan",
         }
     }
 
@@ -349,29 +315,25 @@ pub struct TrainingSession {
     rung: LadderRung,
 }
 
-/// How many data-parallel replicas a plan's graph encodes. DP graphs name
-/// replica ops `repN/...`, so per-iteration work scales with the replica
-/// count and raw makespans are only comparable *per replica* (see
-/// [`TrainingSession::try_promote`]); non-replicated plans count as one.
-fn replicas_of(plan: &Plan) -> usize {
-    plan.graph
-        .op_ids()
-        .filter_map(|id| {
-            let name = &plan.graph.op_ref(id).name;
-            let rest = name.strip_prefix("rep")?;
-            rest[..rest.find('/')?].parse::<usize>().ok()
-        })
-        .max()
-        .map(|n| n + 1)
-        .unwrap_or(1)
-}
+/// Measured-over-predicted duration ratio above which a device or link is
+/// flagged as degraded (`health.degraded`, `health.link_degraded`); a
+/// distrusted link is restored once it measures under the inverse ratio.
+pub const DEGRADED_SLOWDOWN: f64 = 1.5;
 
-/// Whether a profiling error is specific to the plan being measured (so a
-/// rollback to the previous plan can recover) rather than a cluster-wide
-/// dead end that must propagate.
-fn recoverable(e: &FastTError) -> bool {
-    matches!(e, FastTError::Sim(_))
-}
+/// Simulated execution-time noise (matches real profiling variance).
+const JITTER_PCT: f64 = 0.02;
+
+/// Transient-failure retries per iteration before the failing device is
+/// blacklisted and the session re-plans.
+const MAX_TRANSIENT_RETRIES: u32 = 4;
+
+/// Base of the exponential retry backoff, in seconds: attempt `k` backs off
+/// `RETRY_BACKOFF_BASE * 2^k`. Reported through `session.retry` telemetry
+/// (the simulated cluster does not actually sleep).
+const RETRY_BACKOFF_BASE: f64 = 0.05;
+
+/// Relative cost-model drift below which the models count as stable.
+const STABILITY_EPS: f64 = 0.05;
 
 impl TrainingSession {
     /// Creates a session for a (unreplicated) training graph.
@@ -613,7 +575,7 @@ impl TrainingSession {
     /// matters under injected profile-failure faults.
     fn sim_config(&self, attempt: u32) -> SimConfig {
         SimConfig {
-            jitter_pct: self.config.jitter_pct,
+            jitter_pct: JITTER_PCT,
             seed: self.config.seed,
             iteration: self.iteration,
             collector: self.collector.clone(),
@@ -631,52 +593,6 @@ impl TrainingSession {
     /// recovery must not deadlock on them.
     fn probe_config(&self) -> SimConfig {
         self.sim_config(u32::MAX)
-    }
-
-    /// Order enforcement is a lever, not a mandate (Fig. 2): before
-    /// measuring an order-bearing candidate, probe its enforced order
-    /// against plain FIFO execution of the same placement and strip the
-    /// order when it does not help. The priority list is derived from
-    /// partially-profiled estimates, so a misordered list can serialize
-    /// transfers the unordered executor would overlap — and rollback alone
-    /// cannot catch that: the activation baseline is the *previous* plan's
-    /// measured time, not the same placement without the order.
-    fn arbitrate_order(&self, plan: &mut Plan) {
-        if plan.order.is_none() {
-            return;
-        }
-        let probe = self.probe_config();
-        let ordered = match plan.simulate(self.alloc.topo(), &self.hw, &probe) {
-            Ok(t) => t.makespan,
-            Err(_) => return, // infeasibility is the activation loop's call
-        };
-        let order = plan.order.take();
-        match plan.simulate(self.alloc.topo(), &self.hw, &probe) {
-            Ok(t) if t.makespan < ordered => {
-                if let Some(col) = &self.collector {
-                    col.metrics().inc("session.orders_dropped");
-                }
-                self.emit(
-                    "session.order_dropped",
-                    jobj! {
-                        "ordered" => ordered,
-                        "fifo" => t.makespan,
-                    },
-                );
-            }
-            _ => plan.order = order,
-        }
-    }
-
-    /// The session's main strategy calculator as a [`Planner`]: OS-DPOS
-    /// when splitting is enabled (Alg. 2), plain DPOS otherwise (the
-    /// "No split" ablation).
-    fn main_planner(&self) -> Box<dyn Planner> {
-        if self.config.enable_split {
-            Box::new(OsDposPlanner::default())
-        } else {
-            Box::new(DposPlanner)
-        }
     }
 
     /// Evaluates `portfolio` against the session's state (base graph, raw
@@ -700,10 +616,9 @@ impl TrainingSession {
     }
 
     /// Adopts the cost-model clone mutated by the portfolio's *main*
-    /// candidate (index 0 — always the DPOS/OS-DPOS planner in this
-    /// session): OS-DPOS seeds analytic priors for fresh sub-operations,
-    /// and those must persist in the session exactly as the old
-    /// mutate-in-place API did. Cache-served candidates carry no clone —
+    /// candidate (index 0 — OS-DPOS, or plain DPOS for the "No split" arm):
+    /// OS-DPOS seeds analytic priors for fresh sub-operations, and those
+    /// must persist in the session. Cache-served candidates carry no clone —
     /// their seeds were adopted when the plan was first computed.
     fn adopt_candidate_cost(&mut self, outcome: &mut PortfolioOutcome) {
         if let Some(cost) = outcome.candidates[0].cost.take() {
@@ -734,9 +649,8 @@ impl TrainingSession {
                 match self.current.simulate(self.alloc.topo(), &self.hw, &cfg) {
                     Err(SimError::Transient {
                         device, iteration, ..
-                    }) if attempt < self.config.max_transient_retries => {
-                        let backoff =
-                            self.config.retry_backoff_base * f64::powi(2.0, attempt as i32);
+                    }) if attempt < MAX_TRANSIENT_RETRIES => {
+                        let backoff = RETRY_BACKOFF_BASE * f64::powi(2.0, attempt as i32);
                         self.recovery_log.push(RecoveryEvent::Retry {
                             device,
                             iteration,
@@ -824,7 +738,7 @@ impl TrainingSession {
                         .unwrap_or(false);
                     if under_pressure && pressure_replans == 0 {
                         pressure_replans += 1;
-                        self.replan_and_degrade(self.iteration, "mem_pressure")?;
+                        self.replan(Trigger::Lost("mem_pressure"))?;
                     } else {
                         return Err(oom.into());
                     }
@@ -836,7 +750,7 @@ impl TrainingSession {
 
     /// Health detection (tentpole (a)): compares each device's measured op
     /// durations in `trace` against the cost models' *pre-update*
-    /// predictions; a device running `degraded_slowdown`× slower than
+    /// predictions; a device running [`DEGRADED_SLOWDOWN`]× slower than
     /// predicted is flagged (`health.degraded`), and unflagged once the
     /// ratio normalizes (the adaptive models absorb persistent slowdowns,
     /// so the flag marks the transition, not the steady state).
@@ -862,7 +776,7 @@ impl TrainingSession {
             let ratio = m / p;
             let was_degraded =
                 matches!(self.alloc.health().health(d), DeviceHealth::Degraded { .. });
-            if ratio >= self.config.degraded_slowdown {
+            if ratio >= DEGRADED_SLOWDOWN {
                 if !was_degraded {
                     self.recovery_log.push(RecoveryEvent::Degraded {
                         device: d,
@@ -898,7 +812,7 @@ impl TrainingSession {
     /// Link-level health detection: aggregates each directed physical hop's
     /// measured transfer time in `trace` against the communication model's
     /// *pre-update* per-link-class predictions. A hop running
-    /// `degraded_slowdown`× slower than predicted is flagged
+    /// [`DEGRADED_SLOWDOWN`]× slower than predicted is flagged
     /// (`health.link_degraded`), marked degraded in the [`HealthMap`] and
     /// the topology's belief mask, and its cost prior re-seeded
     /// pessimistically ([`CostModels::distrust_link`]) so planners route
@@ -935,7 +849,7 @@ impl TrainingSession {
             }
             let ratio = m / p;
             let distrusted = self.cost.comm.is_distrusted(src, dst);
-            if !distrusted && ratio >= self.config.degraded_slowdown {
+            if !distrusted && ratio >= DEGRADED_SLOWDOWN {
                 self.recovery_log.push(RecoveryEvent::LinkDegraded {
                     src,
                     dst,
@@ -956,7 +870,7 @@ impl TrainingSession {
                 self.alloc.health_mut().mark_link_degraded(src, dst, ratio);
                 self.alloc.topo_mut().degrade_link(src, dst, ratio);
                 self.cost.distrust_link(src, dst, ratio);
-            } else if distrusted && ratio <= 1.0 / self.config.degraded_slowdown {
+            } else if distrusted && ratio <= 1.0 / DEGRADED_SLOWDOWN {
                 // measured far below the pessimistic line: the hop healed
                 self.alloc.health_mut().mark_link_healthy(src, dst);
                 self.alloc.topo_mut().restore_link(src, dst);
@@ -997,16 +911,10 @@ impl TrainingSession {
         Ok(total / iters as f64)
     }
 
-    /// Computes a fresh candidate plan from the base graph with the current
-    /// cost models (OS-DPOS when splitting is enabled, DPOS otherwise),
-    /// through the session's plan cache.
+    /// Computes a fresh OS-DPOS candidate plan from the base graph with the
+    /// current cost models, through the session's plan cache.
     pub fn compute_candidate(&mut self) -> Plan {
-        let portfolio = Portfolio::new().with(self.main_planner());
-        let mut outcome = self.run_portfolio(&portfolio, None);
-        self.adopt_candidate_cost(&mut outcome);
-        outcome
-            .into_winning_plan()
-            .expect("DPOS/OS-DPOS planning is total")
+        self.plan_with(Box::new(OsDposPlanner::default()))
     }
 
     /// Computes a plain-DPOS candidate (no operation splitting) from the
@@ -1014,27 +922,16 @@ impl TrainingSession {
     /// paper's Table 6 ablation. Traced through the attached collector
     /// exactly like [`Self::compute_candidate`].
     pub fn compute_candidate_no_split(&mut self) -> Plan {
-        let portfolio = Portfolio::new().with(Box::new(DposPlanner));
-        let outcome = self.run_portfolio(&portfolio, None);
-        outcome.into_winning_plan().expect("DPOS planning is total")
+        self.plan_with(Box::new(DposPlanner))
     }
 
-    /// Computes the low-risk candidate: keep the current plan's graph and
-    /// placement, only enforce the execution order the strategy calculator
-    /// derives for it (the ordering-only lever of the paper's Fig. 2).
-    /// Returns `None` when order enforcement is disabled.
-    pub fn compute_order_candidate(&self) -> Option<Plan> {
-        if !self.config.enable_order {
-            return None;
-        }
-        let mut ctx = PlanningContext::new(
-            &self.base_graph,
-            self.alloc.topo(),
-            &self.hw,
-            self.cost.clone(),
-        )
-        .with_current(&self.current);
-        OrderOnlyPlanner.plan(&mut ctx).ok()
+    /// Plans with `planner` alone, adopting its cost-model clone.
+    fn plan_with(&mut self, planner: Box<dyn Planner>) -> Plan {
+        let mut outcome = self.run_portfolio(&Portfolio::new().with(planner), None);
+        self.adopt_candidate_cost(&mut outcome);
+        outcome
+            .into_winning_plan()
+            .expect("DPOS/OS-DPOS planning is total")
     }
 
     /// Replaces the hardware model mid-session (used by tests and the drift
@@ -1083,76 +980,20 @@ impl TrainingSession {
                 let measured = self.profile(1)?;
                 total += measured;
                 done += 1;
-                if !self.cost.is_stable(self.config.stability_eps) {
+                if !self.cost.is_stable(STABILITY_EPS) {
                     self.emit(
                         "session.drift",
                         jobj! {
                             "iteration" => self.iteration,
                             "drift" => self.cost.comp.max_drift(),
-                            "eps" => self.config.stability_eps,
+                            "eps" => STABILITY_EPS,
                         },
                     );
                     if let Some(col) = &self.collector {
                         col.metrics().inc("session.drift_detected");
                     }
                     self.measured = self.profile(self.config.profile_iters)?;
-                    let candidate = self.compute_candidate();
-                    self.emit(
-                        "session.candidate",
-                        jobj! {
-                            "kind" => "redeploy",
-                            "stage" => "normal",
-                            "est_finish" => candidate.est_finish,
-                            "measured" => self.measured,
-                        },
-                    );
-                    if candidate.est_finish < self.measured {
-                        let est = candidate.est_finish;
-                        let previous = std::mem::replace(&mut self.current, candidate);
-                        let prev_measured = self.measured;
-                        match self.profile(self.config.profile_iters) {
-                            Ok(m) if m <= prev_measured => {
-                                self.measured = m;
-                                self.rung = LadderRung::Replanned;
-                                self.emit(
-                                    "session.activation",
-                                    jobj! {
-                                        "stage" => "normal",
-                                        "est" => est,
-                                        "measured_before" => prev_measured,
-                                        "measured_after" => m,
-                                        "est_error" => (m - est) / est.max(f64::MIN_POSITIVE),
-                                    },
-                                );
-                            }
-                            Ok(m) => {
-                                self.roll_back_to(previous);
-                                self.emit(
-                                    "session.rollback",
-                                    jobj! {
-                                        "stage" => "normal",
-                                        "est" => est,
-                                        "measured_before" => prev_measured,
-                                        "measured_after" => m,
-                                        "est_error" => (m - est) / est.max(f64::MIN_POSITIVE),
-                                    },
-                                );
-                            }
-                            Err(e) if !recoverable(&e) => return Err(e),
-                            Err(_) => {
-                                self.roll_back_to(previous);
-                                self.emit(
-                                    "session.rollback",
-                                    jobj! {
-                                        "stage" => "normal",
-                                        "est" => est,
-                                        "measured_before" => prev_measured,
-                                        "failed" => true,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                    self.replan(Trigger::Drift)?;
                 }
             }
         }
@@ -1160,8 +1001,9 @@ impl TrainingSession {
     }
 
     /// Runs the full pre-training workflow: profile → update cost models →
-    /// recompute strategy → activate/rollback → repeat until the cost models
-    /// stabilize or `max_rounds` is hit.
+    /// recompute strategy → activate/rollback (one `replan(Round(n))` per
+    /// round) → repeat until the cost models stabilize or `max_rounds` is
+    /// hit.
     ///
     /// # Errors
     ///
@@ -1191,140 +1033,17 @@ impl TrainingSession {
                 },
             );
 
-            // Two candidates per round, planned concurrently as one
-            // portfolio: the full DPOS/OS-DPOS redeployment and the
-            // low-risk "enforce an order on the current placement" (the
-            // paper's ordering lever, Fig. 2); tried best-estimate first.
-            let t0 = Instant::now();
-            let mut portfolio = Portfolio::new().with(self.main_planner());
-            // The hierarchical planner races the flat calculator every
-            // round: on deep stacked models its quotient-graph pass is far
-            // cheaper, and the est-sorted activation loop below keeps
-            // whichever estimate wins honest against measurement.
-            portfolio.push(Box::new(HierarchicalPlanner::default()));
-            if self.config.enable_order {
-                portfolio.push(Box::new(OrderOnlyPlanner));
-            }
-            let mut outcome = self.run_portfolio(&portfolio, None);
-            self.adopt_candidate_cost(&mut outcome);
-            let mut candidates: Vec<(Plan, &'static str)> = outcome
-                .candidates
-                .iter_mut()
-                .filter_map(|c| {
-                    let kind = match c.kind {
-                        PlannerKind::OrderOnly => "order",
-                        _ => "redeploy",
-                    };
-                    c.plan.take().map(|p| (p, kind))
-                })
-                .collect();
-            candidates.sort_by(|a, b| a.0.est_finish.total_cmp(&b.0.est_finish));
-            report.strategy_calc_secs += t0.elapsed().as_secs_f64();
-            for (candidate, kind) in &candidates {
-                self.emit(
-                    "session.candidate",
-                    jobj! {
-                        "round" => report.rounds as u64,
-                        "kind" => *kind,
-                        "stage" => "pre_train",
-                        "est_finish" => candidate.est_finish,
-                        "measured" => self.measured,
-                        "splits" => candidate.splits.len() as u64,
-                    },
-                );
-            }
-
-            // Activate only when the estimate beats the measured time of the
-            // current strategy (Sec. 4, "Strategy Calculator"); roll back
-            // when the measured time regresses.
-            let mut activated = false;
-            for (mut candidate, kind) in candidates {
-                if candidate.est_finish >= self.measured {
-                    continue;
-                }
-                self.arbitrate_order(&mut candidate);
-                if kind == "order" && candidate.order.is_none() {
-                    // the order was the candidate's whole content
-                    continue;
-                }
-                let est = candidate.est_finish;
-                let previous = std::mem::replace(&mut self.current, candidate);
-                let prev_measured = self.measured;
-                match self.profile(self.config.profile_iters) {
-                    Ok(new_measured) if new_measured <= prev_measured => {
-                        self.measured = new_measured;
-                        report.activations += 1;
-                        activated = true;
-                        if kind == "redeploy" {
-                            self.rung = LadderRung::Replanned;
-                        }
-                        if let Some(col) = &self.collector {
-                            col.metrics().inc("session.activations");
-                        }
-                        self.emit(
-                            "session.activation",
-                            jobj! {
-                                "round" => report.rounds as u64,
-                                "kind" => kind,
-                                "stage" => "pre_train",
-                                "est" => est,
-                                "measured_before" => prev_measured,
-                                "measured_after" => new_measured,
-                                "est_error" => (new_measured - est) / est.max(f64::MIN_POSITIVE),
-                            },
-                        );
-                        break;
-                    }
-                    Ok(new_measured) => {
-                        // measured regression: roll back, recording how far
-                        // off the estimate was
-                        self.roll_back_to(previous);
-                        report.rollbacks += 1;
-                        if let Some(col) = &self.collector {
-                            col.metrics().inc("session.rollbacks");
-                        }
-                        self.emit(
-                            "session.rollback",
-                            jobj! {
-                                "round" => report.rounds as u64,
-                                "kind" => kind,
-                                "stage" => "pre_train",
-                                "est" => est,
-                                "measured_before" => prev_measured,
-                                "measured_after" => new_measured,
-                                "est_error" => (new_measured - est) / est.max(f64::MIN_POSITIVE),
-                            },
-                        );
-                    }
-                    Err(e) if !recoverable(&e) => return Err(e),
-                    Err(_) => {
-                        // the new plan failed outright (e.g. OOM): roll back
-                        self.roll_back_to(previous);
-                        report.rollbacks += 1;
-                        if let Some(col) = &self.collector {
-                            col.metrics().inc("session.rollbacks");
-                        }
-                        self.emit(
-                            "session.rollback",
-                            jobj! {
-                                "round" => report.rounds as u64,
-                                "kind" => kind,
-                                "stage" => "pre_train",
-                                "est" => est,
-                                "measured_before" => prev_measured,
-                                "failed" => true,
-                            },
-                        );
-                    }
-                }
-            }
-            if !activated {
+            let round = self.replan(Trigger::Round(report.rounds))?;
+            report.strategy_calc_secs += round.calc_secs;
+            report.activations += u32::from(round.adopted);
+            report.rollbacks += round.rollbacks;
+            if !round.adopted {
                 // keep profiling the current plan so the models keep filling
                 self.measured = self.profile(self.config.profile_iters)?;
             }
             report.history.push(self.measured);
 
-            if self.cost.is_stable(self.config.stability_eps) && report.rounds >= 2 {
+            if self.cost.is_stable(STABILITY_EPS) && report.rounds >= 2 {
                 break;
             }
         }

@@ -6,7 +6,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fastt::{data_parallel_plan, FastTError, RecoveryEvent, SessionConfig, TrainingSession};
+use fastt::{
+    data_parallel_plan, FastTError, RecoveryEvent, SessionConfig, TrainingSession,
+    DEGRADED_SLOWDOWN,
+};
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{replicate_grouped, ReplicationMode};
 use fastt_models::Model;
@@ -215,7 +218,7 @@ fn nic_degradation_flags_links_and_reseeds_pessimistic_priors() {
     );
     for (src, dst, slowdown) in &degraded {
         assert!(
-            *slowdown >= SessionConfig::default().degraded_slowdown,
+            *slowdown >= DEGRADED_SLOWDOWN,
             "flagged hop {src:?}->{dst:?} at only {slowdown}x"
         );
         // every flagged hop crosses into the degraded server

@@ -194,9 +194,15 @@ fn dpos_place_events_record_considered_devices() {
 fn hardware_drift_is_detected_and_recomputation_observable() {
     // Slow the hardware down mid-run: the periodic re-profiler must emit a
     // drift event and follow up with a candidate recomputation.
-    let (mut s, sink, _col) = session_with_sink(Model::AlexNet, 16);
+    let (mut s, sink, col) = session_with_sink(Model::AlexNet, 16);
     s.pre_train().unwrap();
     s.train_normal(10, 3).unwrap();
+    let counter = |name: &str| match col.metrics().get(name) {
+        Some(MetricValue::Counter(n)) => n,
+        _ => 0,
+    };
+    let (activations_before, rollbacks_before) =
+        (counter("session.activations"), counter("session.rollbacks"));
     sink.clear();
 
     let mut slow_hw = HardwarePerf::new();
@@ -227,4 +233,32 @@ fn hardware_drift_is_detected_and_recomputation_observable() {
         .any(|e| e.str_field("stage") == Some("normal")));
     // and the drift event precedes the candidate it caused
     assert!(drifts[0].seq < candidates[0].seq);
+
+    // Normal-stage strategy changes are counted and labelled exactly like
+    // pre-training ones, so `report` can render every one of them.
+    let activations = sink.events_of("session.activation");
+    let rollbacks = sink.events_of("session.rollback");
+    assert!(
+        activations
+            .iter()
+            .chain(&rollbacks)
+            .any(|e| e.str_field("stage") == Some("normal")),
+        "the drift re-plan must activate or roll back a candidate"
+    );
+    assert_eq!(
+        counter("session.activations") - activations_before,
+        activations.len() as u64
+    );
+    assert_eq!(
+        counter("session.rollbacks") - rollbacks_before,
+        rollbacks.len() as u64
+    );
+    for e in activations.iter().chain(&rollbacks) {
+        assert!(
+            e.str_field("kind").is_some(),
+            "{} without a kind: {:?}",
+            e.kind,
+            e.fields
+        );
+    }
 }
