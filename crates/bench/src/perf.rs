@@ -279,7 +279,8 @@ fn run_portfolio_cell(
     // repeats.
     let cache = PlanCache::new(128);
     // The probe carries the cell's collector so the simulator's own phases
-    // (`sim.lower`, `sim.event_loop`) nest under `portfolio > probe`.
+    // (`sim.lower`, `sim.validate`, `sim.event_loop`) nest under
+    // `portfolio > probe`.
     let probe = (graph.op_count() <= PROBE_OP_LIMIT).then(|| SimConfig {
         seed,
         collector: Some(col.clone()),

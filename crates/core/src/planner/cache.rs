@@ -58,13 +58,12 @@ pub struct Fingerprint {
     pub planner: &'static str,
     /// [`Planner::fingerprint_extra`]: tuning parameters and RNG seeds.
     pub extra: u64,
-    /// For region-aware planners ([`Planner::uses_regions`]): the
-    /// decomposition's order-canonical hash
-    /// ([`fastt_graph::RegionTree::canonical_hash`]), folded in alongside
-    /// the id-sensitive `graph_hash` so models sharing substructure are
-    /// observable at the fingerprint layer; 0 for flat planners. Region
-    /// *sub-plan* entries reuse this struct with the per-region hash as
-    /// both graph and region component (see [`PlanCache::get_region`]).
+    /// The order-canonical hash of a region for region *sub-plan* entries
+    /// (which also use it as the graph component, see
+    /// [`PlanCache::get_region`]); 0 for whole-plan entries. A whole
+    /// graph's region tree is a function of `graph_hash` (custom
+    /// decomposition options are in `extra`), so folding it in would add
+    /// no discrimination — only a decomposition on the lookup path.
     pub region_hash: u64,
 }
 
@@ -117,13 +116,6 @@ impl Fingerprint {
         if uses_cost && cost.generation() > 0 {
             context ^= mix(ctx.cache_salt);
         }
-        let region_hash = if planner.uses_regions() {
-            super::hierarchical::region_tree_for(graph)
-                .0
-                .canonical_hash()
-        } else {
-            0
-        };
         Fingerprint {
             graph_hash,
             capacity_mask: topo.shape_hash(),
@@ -131,7 +123,7 @@ impl Fingerprint {
             context,
             planner: planner.name(),
             extra: planner.fingerprint_extra(),
-            region_hash,
+            region_hash: 0,
         }
     }
 }

@@ -47,8 +47,8 @@ pub struct PlanningContext<'a> {
     /// follows TF-slim's host-PS convention).
     pub dp_ps: Option<DeviceId>,
     /// The plan cache backing region-granular sub-plan reuse, for planners
-    /// that report [`Planner::uses_regions`](crate::planner::Planner::uses_regions).
-    /// `None` plans without sub-plan memoization.
+    /// that plan over a structural decomposition (the hierarchical
+    /// planner). `None` plans without sub-plan memoization.
     pub region_cache: Option<&'a PlanCache>,
     /// Per-session cache salt (see
     /// [`FingerprintContext::cache_salt`](crate::planner::FingerprintContext));

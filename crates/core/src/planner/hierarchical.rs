@@ -56,8 +56,8 @@ const DECOMP_MEMO_CAP: usize = 8;
 
 /// The memoized region tree for `graph` under default options, plus the
 /// *cold* decomposition wall-clock (paid once per structure; hits are
-/// free). Shared by the planner, the fingerprint computation, and the
-/// bench harness so they all see one decomposition.
+/// free). Shared by the planner and the benchmark harness so they both
+/// see one decomposition.
 pub fn region_tree_for(graph: &Graph) -> (Arc<RegionTree>, f64) {
     let (tree, secs, _) = memoized_region_tree(graph);
     (tree, secs)
@@ -105,10 +105,6 @@ impl Planner for HierarchicalPlanner {
 
     fn kind(&self) -> PlannerKind {
         PlannerKind::WhiteBox
-    }
-
-    fn uses_regions(&self) -> bool {
-        true
     }
 
     fn fingerprint_extra(&self) -> u64 {

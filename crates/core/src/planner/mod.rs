@@ -164,15 +164,6 @@ pub trait Planner: Send + Sync {
         0
     }
 
-    /// Whether the planner plans over a structural decomposition. When
-    /// `true`, the cache fingerprint additionally folds in the region
-    /// tree's order-canonical hash ([`fastt_graph::RegionTree::canonical_hash`])
-    /// and the planner may consult the cache's region-granular sub-plan
-    /// store through [`PlanningContext::region_cache`].
-    fn uses_regions(&self) -> bool {
-        false
-    }
-
     /// Computes a plan for the context.
     ///
     /// # Errors

@@ -3,6 +3,8 @@
 use crate::error::GraphError;
 use crate::op::{OpId, OpKind, Operation};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of an edge within one [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,6 +38,12 @@ pub struct Edge {
 /// in place, which keeps op ids stable for the lifetime of a strategy
 /// computation.
 ///
+/// Storage is a shared, copy-on-write handle: `clone()` bumps a reference
+/// count, and the first mutation of a shared graph copies its data once
+/// (so a clone never observes its siblings' later appends). The
+/// [`structure_hash`](Graph::structure_hash) is computed once per distinct
+/// graph and memoized; every mutator clears the memo.
+///
 /// # Examples
 ///
 /// ```
@@ -50,8 +58,14 @@ pub struct Edge {
 /// assert_eq!(g.topo_order()?.len(), 3);
 /// # Ok::<(), fastt_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Graph {
+    d: Arc<GraphData>,
+}
+
+/// The storage behind a [`Graph`] handle.
+#[derive(Clone, Default)]
+struct GraphData {
     ops: Vec<Operation>,
     edges: Vec<Edge>,
     in_edges: Vec<Vec<EdgeId>>,
@@ -61,6 +75,29 @@ pub struct Graph {
     /// (e.g. a `Variable` and its `ApplyGradient`).
     groups: Vec<Vec<OpId>>,
     group_of: Vec<Option<u32>>,
+    /// Memoized [`Graph::structure_hash`]; cleared by every mutation.
+    hash: OnceLock<u64>,
+}
+
+// Graphs are shared across the portfolio's planner threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Graph>();
+};
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let d = &*self.d;
+        f.debug_struct("Graph")
+            .field("ops", &d.ops)
+            .field("edges", &d.edges)
+            .field("in_edges", &d.in_edges)
+            .field("out_edges", &d.out_edges)
+            .field("names", &d.names)
+            .field("groups", &d.groups)
+            .field("group_of", &d.group_of)
+            .finish()
+    }
 }
 
 impl Graph {
@@ -76,15 +113,16 @@ impl Graph {
     /// Returns [`GraphError::DuplicateName`] if an op with the same name
     /// already exists.
     pub fn add_op(&mut self, op: Operation) -> Result<OpId, GraphError> {
-        if self.names.contains_key(&op.name) {
+        if self.d.names.contains_key(&op.name) {
             return Err(GraphError::DuplicateName(op.name));
         }
-        let id = OpId(self.ops.len() as u32);
-        self.names.insert(op.name.clone(), id);
-        self.ops.push(op);
-        self.in_edges.push(Vec::new());
-        self.out_edges.push(Vec::new());
-        self.group_of.push(None);
+        let d = self.data_mut();
+        let id = OpId(d.ops.len() as u32);
+        d.names.insert(op.name.clone(), id);
+        d.ops.push(op);
+        d.in_edges.push(Vec::new());
+        d.out_edges.push(Vec::new());
+        d.group_of.push(None);
         Ok(id)
     }
 
@@ -110,19 +148,20 @@ impl Graph {
         dst: OpId,
         bytes: u64,
     ) -> Result<EdgeId, GraphError> {
-        if src.index() >= self.ops.len() {
+        if src.index() >= self.op_count() {
             return Err(GraphError::InvalidOp(src));
         }
-        if dst.index() >= self.ops.len() {
+        if dst.index() >= self.op_count() {
             return Err(GraphError::InvalidOp(dst));
         }
         if src == dst {
             return Err(GraphError::SelfEdge(src));
         }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { src, dst, bytes });
-        self.out_edges[src.index()].push(id);
-        self.in_edges[dst.index()].push(id);
+        let d = self.data_mut();
+        let id = EdgeId(d.edges.len() as u32);
+        d.edges.push(Edge { src, dst, bytes });
+        d.out_edges[src.index()].push(id);
+        d.in_edges[dst.index()].push(id);
         Ok(id)
     }
 
@@ -130,13 +169,14 @@ impl Graph {
     ///
     /// Ops already in a group are merged into the new group.
     pub fn colocate(&mut self, ops: &[OpId]) {
-        let gid = self.groups.len() as u32;
+        let d = self.data_mut();
+        let gid = d.groups.len() as u32;
         let mut members = Vec::new();
         for &o in ops {
-            match self.group_of[o.index()] {
+            match d.group_of[o.index()] {
                 Some(old) => {
                     // merge the old group into the new one
-                    let old_members = std::mem::take(&mut self.groups[old as usize]);
+                    let old_members = std::mem::take(&mut d.groups[old as usize]);
                     for m in old_members {
                         if !members.contains(&m) {
                             members.push(m);
@@ -151,20 +191,30 @@ impl Graph {
             }
         }
         for &m in &members {
-            self.group_of[m.index()] = Some(gid);
+            d.group_of[m.index()] = Some(gid);
         }
-        self.groups.push(members);
+        d.groups.push(members);
+    }
+
+    /// The one way to mutate a graph: unshares the storage (copying it
+    /// once if another handle still points at it) and clears the
+    /// structure-hash memo.
+    fn data_mut(&mut self) -> &mut GraphData {
+        let d = Arc::make_mut(&mut self.d);
+        d.hash.take();
+        d
     }
 
     /// Colocation group members for `op` (including `op` itself), or `None`
     /// if unconstrained.
     pub fn colocation_group(&self, op: OpId) -> Option<&[OpId]> {
-        self.group_of[op.index()].map(|g| self.groups[g as usize].as_slice())
+        self.d.group_of[op.index()].map(|g| self.d.groups[g as usize].as_slice())
     }
 
     /// All non-empty colocation groups.
     pub fn colocation_groups(&self) -> impl Iterator<Item = &[OpId]> + '_ {
-        self.groups
+        self.d
+            .groups
             .iter()
             .filter(|g| !g.is_empty())
             .map(|g| g.as_slice())
@@ -172,17 +222,17 @@ impl Graph {
 
     /// Number of operations.
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.d.ops.len()
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.d.edges.len()
     }
 
     /// The operation with id `id`, if it exists.
     pub fn op(&self, id: OpId) -> Option<&Operation> {
-        self.ops.get(id.index())
+        self.d.ops.get(id.index())
     }
 
     /// The operation with id `id`.
@@ -192,12 +242,12 @@ impl Graph {
     /// Panics if `id` is not in this graph. Use [`Graph::op`] for a checked
     /// lookup.
     pub fn op_ref(&self, id: OpId) -> &Operation {
-        &self.ops[id.index()]
+        &self.d.ops[id.index()]
     }
 
     /// Looks an operation up by name.
     pub fn by_name(&self, name: &str) -> Option<OpId> {
-        self.names.get(name).copied()
+        self.d.names.get(name).copied()
     }
 
     /// The edge with id `id`.
@@ -206,17 +256,18 @@ impl Graph {
     ///
     /// Panics if `id` is not in this graph.
     pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id.index()]
+        &self.d.edges[id.index()]
     }
 
     /// Iterates over all op ids in insertion order.
     pub fn op_ids(&self) -> impl Iterator<Item = OpId> + '_ {
-        (0..self.ops.len() as u32).map(OpId)
+        (0..self.d.ops.len() as u32).map(OpId)
     }
 
     /// Iterates over all ops with their ids.
     pub fn iter_ops(&self) -> impl Iterator<Item = (OpId, &Operation)> + '_ {
-        self.ops
+        self.d
+            .ops
             .iter()
             .enumerate()
             .map(|(i, op)| (OpId(i as u32), op))
@@ -224,21 +275,21 @@ impl Graph {
 
     /// Iterates over all edges.
     pub fn iter_edges(&self) -> impl Iterator<Item = &Edge> + '_ {
-        self.edges.iter()
+        self.d.edges.iter()
     }
 
     /// Incoming edges of `op`.
     pub fn in_edges(&self, op: OpId) -> impl Iterator<Item = &Edge> + '_ {
-        self.in_edges[op.index()]
+        self.d.in_edges[op.index()]
             .iter()
-            .map(move |&e| &self.edges[e.index()])
+            .map(move |&e| &self.d.edges[e.index()])
     }
 
     /// Outgoing edges of `op`.
     pub fn out_edges(&self, op: OpId) -> impl Iterator<Item = &Edge> + '_ {
-        self.out_edges[op.index()]
+        self.d.out_edges[op.index()]
             .iter()
-            .map(move |&e| &self.edges[e.index()])
+            .map(move |&e| &self.d.edges[e.index()])
     }
 
     /// Immediate predecessors of `op` (paper notation: `pred(o_i)`).
@@ -254,14 +305,14 @@ impl Graph {
     /// Ops with no incoming edges.
     pub fn entry_ops(&self) -> Vec<OpId> {
         self.op_ids()
-            .filter(|o| self.in_edges[o.index()].is_empty())
+            .filter(|o| self.d.in_edges[o.index()].is_empty())
             .collect()
     }
 
     /// Ops with no outgoing edges.
     pub fn exit_ops(&self) -> Vec<OpId> {
         self.op_ids()
-            .filter(|o| self.out_edges[o.index()].is_empty())
+            .filter(|o| self.d.out_edges[o.index()].is_empty())
             .collect()
     }
 
@@ -271,9 +322,9 @@ impl Graph {
     ///
     /// Returns [`GraphError::Cycle`] if the graph is not a DAG.
     pub fn topo_order(&self) -> Result<Vec<OpId>, GraphError> {
-        let n = self.ops.len();
+        let n = self.d.ops.len();
         let mut indeg = vec![0usize; n];
-        for e in &self.edges {
+        for e in &self.d.edges {
             indeg[e.dst.index()] += 1;
         }
         let mut queue: Vec<OpId> = self.op_ids().filter(|o| indeg[o.index()] == 0).collect();
@@ -283,8 +334,8 @@ impl Graph {
             let o = queue[head];
             head += 1;
             order.push(o);
-            for &eid in &self.out_edges[o.index()] {
-                let d = self.edges[eid.index()].dst;
+            for &eid in &self.d.out_edges[o.index()] {
+                let d = self.d.edges[eid.index()].dst;
                 indeg[d.index()] -= 1;
                 if indeg[d.index()] == 0 {
                     queue.push(d);
@@ -311,18 +362,18 @@ impl Graph {
 
     /// Total floating-point work per execution of the graph.
     pub fn total_flops(&self) -> u64 {
-        self.ops.iter().map(|o| o.flops).sum()
+        self.d.ops.iter().map(|o| o.flops).sum()
     }
 
     /// Total trainable parameter bytes.
     pub fn total_param_bytes(&self) -> u64 {
-        self.ops.iter().map(|o| o.param_bytes).sum()
+        self.d.ops.iter().map(|o| o.param_bytes).sum()
     }
 
     /// Number of ops per [`OpKind`].
     pub fn kind_histogram(&self) -> HashMap<OpKind, usize> {
         let mut h = HashMap::new();
-        for op in &self.ops {
+        for op in &self.d.ops {
             *h.entry(op.kind).or_insert(0) += 1;
         }
         h
@@ -337,8 +388,13 @@ impl Graph {
     ///
     /// Uses [`std::collections::hash_map::DefaultHasher`] with its default
     /// keys, so the value is stable across processes and runs — suitable as
-    /// a plan-cache fingerprint component.
+    /// a plan-cache fingerprint component. Computed once per distinct graph:
+    /// clones share the memo, and every mutation clears it.
     pub fn structure_hash(&self) -> u64 {
+        *self.d.hash.get_or_init(|| self.compute_structure_hash())
+    }
+
+    fn compute_structure_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.op_count().hash(&mut h);

@@ -2,50 +2,64 @@
 //! performs.
 //!
 //! [`CommPlan::lower`] turns `(graph, placement, topology)` into per-op
-//! [`OpComm`] delivery lists (local hand-offs, point-to-point sends with
-//! their physical multi-hop routes) and per-node [`CollectiveStep`]s for ops
-//! annotated with a [`CollectiveKind`] — **once**, before the event loop
-//! runs, instead of rediscovering the communication structure edge-by-edge
-//! inside the engine. The engine then merely *executes* the plan over
-//! per-link channel timelines: route hops serialize on their links, ring
-//! phases serialize on every hop simultaneously, and compute/communication
-//! overlap falls out of the event queue as before.
+//! delivery lists (local hand-offs, point-to-point sends with their
+//! physical multi-hop routes, collective feeds) and per-node
+//! [`CollectiveStep`]s for ops annotated with a [`CollectiveKind`] —
+//! **once**, before the event loop runs, instead of rediscovering the
+//! communication structure edge-by-edge inside the engine. The engine then
+//! merely *executes* the plan over per-link channel timelines: route hops
+//! serialize on their links, ring phases serialize on every hop
+//! simultaneously, and compute/communication overlap falls out of the
+//! event queue as before.
+//!
+//! The plan is flat: every op's deliveries are a range of a few arrays
+//! shared by the whole plan (compressed-sparse-row style), and each
+//! distinct device-pair route is stored once and referenced by index.
+//! Lowering and validation therefore allocate per plan, not per op.
 
 use crate::error::SimError;
 use crate::placement::Placement;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{CollectiveKind, Graph, OpId};
-use std::collections::{HashMap, VecDeque};
+
+/// Marks "no entry" in the plan's dense index tables.
+const NONE: u32 = u32::MAX;
 
 /// One point-to-point delivery: the producer's output tensor sent to one
 /// destination device (TensorFlow's send/recv dedup — a tensor crosses to a
 /// device once and fans out locally), staged along its physical route.
-#[derive(Debug, Clone, PartialEq)]
-pub struct P2pSend {
+/// A view into a [`CommPlan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct P2pSend<'a> {
     /// Destination device.
     pub dst_dev: DeviceId,
     /// Bytes moved (the largest edge payload into that device).
     pub bytes: u64,
     /// Consumers unblocked on arrival — one entry per satisfied in-edge.
-    pub dsts: Vec<OpId>,
+    pub dsts: &'a [OpId],
     /// Physical hops ([`Topology::route`]): one direct hop within a server,
     /// PCIe→NIC→PCIe staging across servers.
-    pub route: Vec<(DeviceId, DeviceId)>,
+    pub route: &'a [(DeviceId, DeviceId)],
 }
 
-/// How one op's outputs are delivered once it finishes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OpComm {
-    /// Consumers receiving the output locally (no transfer) — one entry per
-    /// in-edge satisfied. For a collective node this includes the consumers
-    /// on participant devices, which already hold the reduced tensor.
-    pub local: Vec<OpId>,
-    /// One send per remote destination device, sorted by device id (the
-    /// engine's deterministic event order depends on it).
-    pub sends: Vec<P2pSend>,
-    /// Collective nodes fed by this op — one entry per in-edge contributed.
-    /// The edge is handled by the collective, not by a point-to-point send.
-    pub feeds: Vec<OpId>,
+/// A stored send: its consumers as a range of [`CommPlan::dsts`] and its
+/// route as an index into [`CommPlan::routes`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SendEntry {
+    dst_dev: DeviceId,
+    bytes: u64,
+    dsts: (u32, u32),
+    route: u32,
+}
+
+/// Where one op's deliveries start in each of the plan's shared arrays;
+/// the next op's cursor is where they end.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Cursor {
+    local: u32,
+    sends: u32,
+    dsts: u32,
+    feeds: u32,
 }
 
 /// A lowered collective: the communication performed by one
@@ -100,13 +114,30 @@ impl CollectiveStep {
 /// The complete communication plan of one placed iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommPlan {
-    /// Delivery list per op, indexed by `OpId`.
-    pub op_comm: Vec<OpComm>,
-    /// Lowered collective per op, indexed by `OpId`; `None` for ordinary
-    /// ops. A collective node placed so that all its producers share one
-    /// device lowers to `None` degenerate handling (its `pending` still
-    /// gates readiness but no ring runs).
-    pub collectives: Vec<Option<CollectiveStep>>,
+    /// Per-op start cursors, `op_count + 1` long.
+    at: Vec<Cursor>,
+    /// Consumers receiving an output locally (no transfer) — one entry per
+    /// in-edge satisfied. For a collective node this includes the consumers
+    /// on participant devices, which already hold the reduced tensor.
+    local: Vec<OpId>,
+    /// One send per (producer, remote destination device), each producer's
+    /// sorted by device id (the engine's deterministic event order depends
+    /// on it).
+    sends: Vec<SendEntry>,
+    /// Every send's consumers, contiguous per send.
+    dsts: Vec<OpId>,
+    /// Collective nodes fed by an op — one entry per in-edge contributed.
+    /// The edge is handled by the collective, not by a point-to-point send.
+    feeds: Vec<OpId>,
+    /// Distinct device-pair routes as `(start, len)` ranges of `hops`.
+    routes: Vec<(u32, u32)>,
+    hops: Vec<(DeviceId, DeviceId)>,
+    /// Index into `steps` per op; [`NONE`] for ordinary ops.
+    step_of: Vec<u32>,
+    /// Lowered collectives, in node-id order. A collective node placed so
+    /// that all its producers share one device still gets a step: its
+    /// `pending` gates readiness but no ring runs.
+    steps: Vec<CollectiveStep>,
 }
 
 impl CommPlan {
@@ -123,6 +154,8 @@ impl CommPlan {
     ///   participant devices — the collective already left the reduced
     ///   tensor there — and as routed sends elsewhere.
     ///
+    /// Each device pair is routed once per call, however many sends use it.
+    ///
     /// # Errors
     ///
     /// * [`SimError::InvalidPlacement`] if an op sits on an unknown or
@@ -135,9 +168,10 @@ impl CommPlan {
         topo: &Topology,
     ) -> Result<CommPlan, SimError> {
         let n_ops = graph.op_count();
-        for (id, _) in graph.iter_ops() {
+        let n_dev = topo.device_count();
+        for id in graph.op_ids() {
             let d = placement.device_of(id);
-            if d.index() >= topo.device_count() {
+            if d.index() >= n_dev {
                 return Err(SimError::InvalidPlacement(format!(
                     "op {} placed on unknown device {d}",
                     id.0
@@ -150,7 +184,8 @@ impl CommPlan {
                 )));
             }
         }
-        let mut collectives: Vec<Option<CollectiveStep>> = vec![None; n_ops];
+        let mut step_of = vec![NONE; n_ops];
+        let mut steps: Vec<CollectiveStep> = Vec::new();
         for (id, op) in graph.iter_ops() {
             let Some(kind) = op.collective else { continue };
             let mut pending = 0u32;
@@ -165,7 +200,8 @@ impl CommPlan {
                 }
             }
             participants.sort_unstable();
-            collectives[id.index()] = Some(CollectiveStep {
+            step_of[id.index()] = steps.len() as u32;
+            steps.push(CollectiveStep {
                 node: id,
                 kind,
                 participants,
@@ -174,59 +210,164 @@ impl CommPlan {
             });
         }
 
-        let mut op_comm: Vec<OpComm> = vec![OpComm::default(); n_ops];
-        for (id, _) in graph.iter_ops() {
+        let mut plan = CommPlan {
+            at: Vec::with_capacity(n_ops + 1),
+            local: Vec::with_capacity(graph.edge_count()),
+            sends: Vec::new(),
+            dsts: Vec::new(),
+            feeds: Vec::new(),
+            routes: Vec::new(),
+            hops: Vec::new(),
+            step_of,
+            steps: Vec::new(),
+        };
+        // Per-call working buffers, indexed by device: the consumer count and
+        // largest payload of the current op's send to each device, and
+        // where its next consumer goes in `dsts`. `pair_route` memoizes
+        // each (src, dst) pair's route index.
+        let mut count = vec![0u32; n_dev];
+        let mut bytes = vec![0u64; n_dev];
+        let mut fill = vec![0u32; n_dev];
+        let mut remote: Vec<DeviceId> = Vec::new();
+        let mut pair_route = vec![NONE; n_dev * n_dev];
+        plan.at.push(Cursor::default());
+        for id in graph.op_ids() {
             let src_dev = placement.device_of(id);
-            let mut oc = OpComm::default();
             // participant devices of this op's own collective (if any)
             // already hold the result when the node finishes
-            let own_participants: &[DeviceId] = match &collectives[id.index()] {
-                Some(c) => &c.participants,
-                None => &[],
+            let own: &[DeviceId] = match plan.step_of[id.index()] {
+                NONE => &[],
+                s => &steps[s as usize].participants,
             };
-            let mut remote: HashMap<DeviceId, (u64, Vec<OpId>)> = HashMap::new();
+            let is_remote = |dd: DeviceId| dd != src_dev && !own.contains(&dd);
             for e in graph.out_edges(id) {
-                if collectives[e.dst.index()].is_some() {
-                    oc.feeds.push(e.dst);
+                if plan.step_of[e.dst.index()] != NONE {
+                    plan.feeds.push(e.dst);
                     continue;
                 }
                 let dd = placement.device_of(e.dst);
-                if dd == src_dev || own_participants.contains(&dd) {
-                    oc.local.push(e.dst);
-                } else {
-                    let entry = remote.entry(dd).or_insert((0, Vec::new()));
-                    entry.0 = entry.0.max(e.bytes);
-                    entry.1.push(e.dst);
+                if !is_remote(dd) {
+                    plan.local.push(e.dst);
+                    continue;
+                }
+                let k = dd.index();
+                if count[k] == 0 {
+                    remote.push(dd);
+                }
+                count[k] += 1;
+                bytes[k] = bytes[k].max(e.bytes);
+            }
+            if !remote.is_empty() {
+                remote.sort_unstable(); // deterministic event order
+                for &dd in &remote {
+                    let k = dd.index();
+                    let pair = src_dev.index() * n_dev + k;
+                    if pair_route[pair] == NONE {
+                        let route = topo.try_route(src_dev, dd).ok_or(SimError::Unreachable {
+                            src: src_dev,
+                            dst: dd,
+                        })?;
+                        pair_route[pair] = plan.routes.len() as u32;
+                        plan.routes
+                            .push((plan.hops.len() as u32, route.len() as u32));
+                        plan.hops.extend_from_slice(&route);
+                    }
+                    let start = plan.dsts.len() as u32;
+                    fill[k] = start;
+                    plan.dsts.resize((start + count[k]) as usize, id);
+                    plan.sends.push(SendEntry {
+                        dst_dev: dd,
+                        bytes: bytes[k],
+                        dsts: (start, start + count[k]),
+                        route: pair_route[pair],
+                    });
+                }
+                // second pass: consumers in edge order within each send
+                for e in graph.out_edges(id) {
+                    let dd = placement.device_of(e.dst);
+                    if plan.step_of[e.dst.index()] == NONE && is_remote(dd) {
+                        plan.dsts[fill[dd.index()] as usize] = e.dst;
+                        fill[dd.index()] += 1;
+                    }
+                }
+                for dd in remote.drain(..) {
+                    count[dd.index()] = 0;
+                    bytes[dd.index()] = 0;
                 }
             }
-            let mut sends: Vec<(DeviceId, (u64, Vec<OpId>))> = remote.into_iter().collect();
-            sends.sort_by_key(|(d, _)| *d); // deterministic event order
-            oc.sends = sends
-                .into_iter()
-                .map(|(dd, (bytes, dsts))| {
-                    let route = topo.try_route(src_dev, dd).ok_or(SimError::Unreachable {
-                        src: src_dev,
-                        dst: dd,
-                    })?;
-                    Ok(P2pSend {
-                        dst_dev: dd,
-                        bytes,
-                        dsts,
-                        route,
-                    })
-                })
-                .collect::<Result<Vec<_>, SimError>>()?;
-            op_comm[id.index()] = oc;
+            plan.at.push(Cursor {
+                local: plan.local.len() as u32,
+                sends: plan.sends.len() as u32,
+                dsts: plan.dsts.len() as u32,
+                feeds: plan.feeds.len() as u32,
+            });
         }
-        Ok(CommPlan {
-            op_comm,
-            collectives,
-        })
+        plan.steps = steps;
+        Ok(plan)
+    }
+
+    /// Number of ops the plan covers.
+    fn op_count(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    /// Consumers of `op` that receive its output locally, without a
+    /// transfer — one entry per in-edge satisfied. For a collective node
+    /// this includes the consumers on participant devices, which already
+    /// hold the reduced tensor.
+    pub fn local(&self, op: OpId) -> &[OpId] {
+        let (a, b) = (self.at[op.index()], self.at[op.index() + 1]);
+        &self.local[a.local as usize..b.local as usize]
+    }
+
+    /// Collective nodes `op` feeds — one entry per in-edge contributed.
+    /// The edge is handled by the collective, not by a point-to-point
+    /// send.
+    pub fn feeds(&self, op: OpId) -> &[OpId] {
+        let (a, b) = (self.at[op.index()], self.at[op.index() + 1]);
+        &self.feeds[a.feeds as usize..b.feeds as usize]
+    }
+
+    /// `op`'s point-to-point sends, one per remote destination device,
+    /// sorted by device id (the engine's deterministic event order depends
+    /// on it).
+    pub fn sends(&self, op: OpId) -> impl ExactSizeIterator<Item = P2pSend<'_>> + '_ {
+        let (a, b) = (self.at[op.index()], self.at[op.index() + 1]);
+        self.sends[a.sends as usize..b.sends as usize]
+            .iter()
+            .map(move |s| {
+                let (start, len) = self.routes[s.route as usize];
+                P2pSend {
+                    dst_dev: s.dst_dev,
+                    bytes: s.bytes,
+                    dsts: &self.dsts[s.dsts.0 as usize..s.dsts.1 as usize],
+                    route: &self.hops[start as usize..(start + len) as usize],
+                }
+            })
     }
 
     /// The collective step of `node`, if it is a collective.
     pub fn collective(&self, node: OpId) -> Option<&CollectiveStep> {
-        self.collectives[node.index()].as_ref()
+        match self.step_of[node.index()] {
+            NONE => None,
+            s => Some(&self.steps[s as usize]),
+        }
+    }
+
+    /// Every lowered collective, in node-id order.
+    pub fn collectives(&self) -> &[CollectiveStep] {
+        &self.steps
+    }
+
+    /// Every op `op`'s completion unblocks: local hand-offs, send
+    /// consumers and collective feeds.
+    fn deliveries(&self, op: usize) -> impl Iterator<Item = OpId> + '_ {
+        let (a, b) = (self.at[op], self.at[op + 1]);
+        self.local[a.local as usize..b.local as usize]
+            .iter()
+            .chain(&self.dsts[a.dsts as usize..b.dsts as usize])
+            .chain(&self.feeds[a.feeds as usize..b.feeds as usize])
+            .copied()
     }
 
     /// Checks the plan against the *current* link health of `topo` and
@@ -248,70 +389,65 @@ impl CommPlan {
     /// * [`SimError::Unreachable`] if a ring-hop pair has no live route;
     /// * [`SimError::Deadlock`] if the delivery edges contain a cycle.
     pub fn validate(&self, topo: &Topology, iteration: u64) -> Result<(), SimError> {
-        for oc in &self.op_comm {
-            for send in &oc.sends {
-                for &(a, b) in &send.route {
-                    if topo.is_link_failed(a, b) {
-                        return Err(SimError::LinkDown {
-                            src: a,
-                            dst: b,
-                            iteration,
-                        });
-                    }
+        for s in &self.sends {
+            let (start, len) = self.routes[s.route as usize];
+            for &(a, b) in &self.hops[start as usize..(start + len) as usize] {
+                if topo.is_link_failed(a, b) {
+                    return Err(SimError::LinkDown {
+                        src: a,
+                        dst: b,
+                        iteration,
+                    });
                 }
             }
         }
-        for step in self.collectives.iter().flatten() {
+        // Ring hops resolve their routes at execution time, so the live
+        // question is reachability, not a stale stored route. Each pair is
+        // asked once per call: 0 = not asked, 1 = reachable, 2 = not.
+        let n_dev = topo.device_count();
+        let mut reach: Vec<u8> = Vec::new();
+        for step in &self.steps {
             let n = step.participants.len();
             if n < 2 {
                 continue;
             }
-            // Ring hops resolve their routes at execution time, so the
-            // live question is reachability, not a stale stored route.
+            if reach.is_empty() {
+                reach = vec![0; n_dev * n_dev];
+            }
             for i in 0..n {
                 let a = step.participants[i];
                 let b = step.participants[(i + 1) % n];
-                if topo.try_route(a, b).is_none() {
+                let r = &mut reach[a.index() * n_dev + b.index()];
+                if *r == 0 {
+                    *r = if topo.try_route(a, b).is_some() { 1 } else { 2 };
+                }
+                if *r == 2 {
                     return Err(SimError::Unreachable { src: a, dst: b });
                 }
             }
         }
         // Kahn's algorithm over the plan's own delivery edges.
-        let n_ops = self.op_comm.len();
+        let n_ops = self.op_count();
         let mut indeg = vec![0u32; n_ops];
-        let each_edge = |oc: &OpComm, mut f: Box<dyn FnMut(OpId) + '_>| {
-            for &d in &oc.local {
-                f(d);
-            }
-            for s in &oc.sends {
-                for &d in &s.dsts {
-                    f(d);
+        for &d in self.local.iter().chain(&self.dsts).chain(&self.feeds) {
+            indeg[d.index()] += 1;
+        }
+        let mut queue: Vec<usize> = Vec::with_capacity(n_ops);
+        queue.extend((0..n_ops).filter(|&i| indeg[i] == 0));
+        let mut head = 0;
+        while head < queue.len() {
+            let i = queue[head];
+            head += 1;
+            for d in self.deliveries(i) {
+                indeg[d.index()] -= 1;
+                if indeg[d.index()] == 0 {
+                    queue.push(d.index());
                 }
             }
-            for &d in &oc.feeds {
-                f(d);
-            }
-        };
-        for oc in &self.op_comm {
-            each_edge(oc, Box::new(|d| indeg[d.index()] += 1));
         }
-        let mut queue: VecDeque<usize> = (0..n_ops).filter(|&i| indeg[i] == 0).collect();
-        let mut processed = 0usize;
-        while let Some(i) = queue.pop_front() {
-            processed += 1;
-            each_edge(
-                &self.op_comm[i],
-                Box::new(|d| {
-                    indeg[d.index()] -= 1;
-                    if indeg[d.index()] == 0 {
-                        queue.push_back(d.index());
-                    }
-                }),
-            );
-        }
-        if processed != n_ops {
+        if head != n_ops {
             return Err(SimError::Deadlock {
-                executed: processed,
+                executed: head,
                 total: n_ops,
             });
         }
@@ -363,9 +499,9 @@ mod tests {
         assert_eq!(c.phases(), 2); // 2(n−1), n = 2
         assert_eq!(c.chunk_bytes(), 512);
         // producer edges feed the collective, not point-to-point sends
-        assert_eq!(plan.op_comm[g0.index()].feeds, vec![agg]);
-        assert_eq!(plan.op_comm[g1.index()].feeds, vec![agg]);
-        assert!(plan.op_comm[g0.index()].sends.is_empty());
+        assert_eq!(plan.feeds(g0), [agg]);
+        assert_eq!(plan.feeds(g1), [agg]);
+        assert_eq!(plan.sends(g0).len(), 0);
     }
 
     #[test]
@@ -377,15 +513,15 @@ mod tests {
         // consumer on a participant device: no transfer needed
         p.set(apply, DeviceId(1));
         let plan = CommPlan::lower(&g, &p, &topo).unwrap();
-        assert_eq!(plan.op_comm[agg.index()].local, vec![apply]);
-        assert!(plan.op_comm[agg.index()].sends.is_empty());
+        assert_eq!(plan.local(agg), [apply]);
+        assert_eq!(plan.sends(agg).len(), 0);
         // consumer outside the ring: routed send
         let mut p2 = p.clone();
         p2.set(apply, DeviceId(3));
         let plan2 = CommPlan::lower(&g, &p2, &topo).unwrap();
-        assert!(plan2.op_comm[agg.index()].local.is_empty());
-        assert_eq!(plan2.op_comm[agg.index()].sends.len(), 1);
-        assert_eq!(plan2.op_comm[agg.index()].sends[0].dst_dev, DeviceId(3));
+        assert!(plan2.local(agg).is_empty());
+        assert_eq!(plan2.sends(agg).len(), 1);
+        assert_eq!(plan2.sends(agg).next().unwrap().dst_dev, DeviceId(3));
     }
 
     #[test]
@@ -398,7 +534,7 @@ mod tests {
         let mut p = Placement::uniform(g.op_count(), DeviceId(0));
         p.set(b, DeviceId(2));
         let plan = CommPlan::lower(&g, &p, &topo).unwrap();
-        let send = &plan.op_comm[a.index()].sends[0];
+        let send = plan.sends(a).next().unwrap();
         assert_eq!(send.route.len(), 3, "PCIe → NIC → PCIe staging");
         assert_eq!(send.route[0].0, DeviceId(0));
         assert_eq!(send.route[2].1, DeviceId(2));
@@ -456,7 +592,7 @@ mod tests {
         );
         // re-lowering routes around it and validates again
         let plan2 = CommPlan::lower(&g, &p, &topo).unwrap();
-        assert_eq!(plan2.op_comm[a.index()].sends[0].route.len(), 2);
+        assert_eq!(plan2.sends(a).next().unwrap().route.len(), 2);
         assert_eq!(plan2.validate(&topo, 3), Ok(()));
         // a ring whose participant pair went unreachable is caught too
         let (cg, [_, g1, _, _]) = grad_graph();
@@ -486,7 +622,11 @@ mod tests {
         let mut plan = CommPlan::lower(&g, &p, &topo).unwrap();
         assert_eq!(plan.validate(&topo, 0), Ok(()));
         // corrupt: the collective "feeds back" into one of its producers
-        plan.op_comm[agg.index()].local.push(g0);
+        let end = plan.at[agg.index() + 1].local;
+        plan.local.insert(end as usize, g0);
+        for c in &mut plan.at[agg.index() + 1..] {
+            c.local += 1;
+        }
         assert!(matches!(
             plan.validate(&topo, 0),
             Err(SimError::Deadlock { .. })

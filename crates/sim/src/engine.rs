@@ -94,15 +94,16 @@ fn jitter_unit(seed: u64, op: OpId, iteration: u64) -> f64 {
 }
 
 #[derive(Debug, PartialEq)]
-enum Event {
+enum Event<'p> {
     OpFinish {
         op: OpId,
     },
     /// A tensor arrived on a device, satisfying one in-edge of each listed
     /// consumer (TensorFlow sends a tensor once per destination device and
     /// fans it out locally, so one transfer may unblock several consumers).
+    /// The list is the send's consumer range in the communication plan.
     TransferArrive {
-        dsts: Vec<OpId>,
+        dsts: &'p [OpId],
     },
     /// A collective's final ring phase completed; its node becomes ready.
     CollectiveDone {
@@ -363,15 +364,19 @@ fn run_collective(
     }
     let chunk = step.chunk_bytes();
     let mut t = now;
+    // Each ring hop is routed on first use and reused by later phases.
+    let mut ring: Vec<Vec<(DeviceId, DeviceId)>> = Vec::with_capacity(n);
     for _ in 0..step.phases() {
         let phase_start = t;
         let mut phase_end = phase_start;
         for i in 0..n {
             let a = step.participants[i];
             let b = step.participants[(i + 1) % n];
-            let route = ring_route(a, b)?;
+            if ring.len() == i {
+                ring.push(ring_route(a, b)?);
+            }
             let hop_end = run_route(
-                &route,
+                &ring[i],
                 chunk,
                 step.node,
                 step.node,
@@ -615,10 +620,15 @@ pub fn simulate(
     // (blacklisted devices, unreachable pairs) and the validator proves
     // the plan references only live links and cannot deadlock.
     let plan = {
-        let _lower_phase = config.collector.as_deref().map(|c| c.phase("sim.lower"));
         let t0 = std::time::Instant::now();
-        let plan = CommPlan::lower(graph, placement, topo)?;
-        plan.validate(topo, config.iteration)?;
+        let plan = {
+            let _lower_phase = config.collector.as_deref().map(|c| c.phase("sim.lower"));
+            CommPlan::lower(graph, placement, topo)?
+        };
+        {
+            let _validate_phase = config.collector.as_deref().map(|c| c.phase("sim.validate"));
+            plan.validate(topo, config.iteration)?;
+        }
         if let Some(col) = &config.collector {
             col.metrics().observe_with(
                 "sim.lower_secs",
@@ -628,26 +638,27 @@ pub fn simulate(
         }
         plan
     };
-    let mut coll_pending: Vec<u32> = plan
-        .collectives
-        .iter()
-        .map(|c| c.as_ref().map_or(0, |s| s.pending))
-        .collect();
+    let mut coll_pending: Vec<u32> = vec![0; n_ops];
+    for step in plan.collectives() {
+        coll_pending[step.node.index()] = step.pending;
+    }
     let mut collectives_run: Vec<CollectiveRecord> = Vec::new();
 
     // Event queue ordered by (time, seq) for determinism.
     let mut events: BinaryHeap<Reverse<(OrderedF64, u64, usize)>> = BinaryHeap::new();
     let mut event_payload: Vec<Event> = Vec::new();
     let mut seq: u64 = 0;
-    let push_event = |events: &mut BinaryHeap<Reverse<(OrderedF64, u64, usize)>>,
-                      payload: &mut Vec<Event>,
-                      seq: &mut u64,
-                      t: f64,
-                      ev: Event| {
+    fn push_event<'p>(
+        events: &mut BinaryHeap<Reverse<(OrderedF64, u64, usize)>>,
+        payload: &mut Vec<Event<'p>>,
+        seq: &mut u64,
+        t: f64,
+        ev: Event<'p>,
+    ) {
         payload.push(ev);
         events.push(Reverse((OrderedF64(t), *seq, payload.len() - 1)));
         *seq += 1;
-    };
+    }
 
     let mut records: Vec<OpRecord> = (0..n_ops)
         .map(|i| OpRecord {
@@ -699,7 +710,7 @@ pub fn simulate(
         mem_peak: &mut [u64],
         records: &mut [OpRecord],
         events: &mut BinaryHeap<Reverse<(OrderedF64, u64, usize)>>,
-        payload: &mut Vec<Event>,
+        payload: &mut Vec<Event<'_>>,
         seq: &mut u64,
         mem_timeline: &mut Vec<MemSample>,
         reexecutions: &mut u64,
@@ -842,9 +853,8 @@ pub fn simulate(
                 // sends run hop by hop along their routes, and edges into
                 // collective nodes count toward the collective's readiness.
                 let sd = placement.device_of(op);
-                let oc = &plan.op_comm[op.index()];
                 let mut wake: Vec<usize> = Vec::new();
-                for &dst in &oc.local {
+                for &dst in plan.local(op) {
                     indeg[dst.index()] -= 1;
                     if indeg[dst.index()] == 0 {
                         records[dst.index()].ready = now;
@@ -856,9 +866,9 @@ pub fn simulate(
                     }
                 }
                 wake.sort_unstable();
-                for send in &oc.sends {
+                for send in plan.sends(op) {
                     let arrive = run_route(
-                        &send.route,
+                        send.route,
                         send.bytes,
                         op,
                         send.dsts[0],
@@ -893,12 +903,10 @@ pub fn simulate(
                         &mut event_payload,
                         &mut seq,
                         arrive,
-                        Event::TransferArrive {
-                            dsts: send.dsts.clone(),
-                        },
+                        Event::TransferArrive { dsts: send.dsts },
                     );
                 }
-                for &node in &oc.feeds {
+                for &node in plan.feeds(op) {
                     coll_pending[node.index()] -= 1;
                     if coll_pending[node.index()] != 0 {
                         continue;
@@ -1015,7 +1023,7 @@ pub fn simulate(
             }
             Event::TransferArrive { dsts } => {
                 let dd = placement.device_of(dsts[0]).index();
-                for dst in dsts {
+                for &dst in dsts {
                     indeg[dst.index()] -= 1;
                     if indeg[dst.index()] == 0 {
                         records[dst.index()].ready = now;

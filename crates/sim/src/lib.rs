@@ -55,7 +55,7 @@ mod queue;
 pub mod seed;
 mod trace;
 
-pub use comm::{CollectiveStep, CommPlan, OpComm, P2pSend};
+pub use comm::{CollectiveStep, CommPlan, P2pSend};
 pub use engine::{simulate, SimConfig};
 pub use error::SimError;
 pub use faults::{Fault, FaultKind, FaultSchedule, LifecycleEvent, LifecycleKind};

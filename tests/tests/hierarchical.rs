@@ -174,3 +174,42 @@ fn repeat_plan_reports_memo_hit_and_its_own_decompose_time() {
         "a memo hit reports its own time: {warm_secs} s vs cold {cold_secs} s"
     );
 }
+
+/// The cache pass keys whole plans by graph hash alone, so it never
+/// decomposes: the first portfolio over a graph no other test in this
+/// binary builds finds the decomposition memo cold, and the hierarchical
+/// planner's own `decompose` phase is the one that pays for it.
+#[test]
+fn first_cached_portfolio_decomposes_in_the_planner() {
+    let g = build_training_graph(&stacked_transformer(96, 5)).unwrap();
+    let topo = Topology::single_server(2);
+    let hw = HardwarePerf::new();
+    let cost = CostModels::new();
+    let cache = PlanCache::default();
+    let sink = Arc::new(MemorySink::with_default_capacity());
+    let col = Arc::new(Collector::new().with_sink(sink.clone()));
+    let portfolio = Portfolio::new().with(Box::<HierarchicalPlanner>::default());
+    let inputs = PortfolioInputs {
+        graph: &g,
+        raw: Some(&g),
+        current: None,
+        topo: &topo,
+        hw: &hw,
+        cost: &cost,
+        collector: Some(col),
+        enable_order: true,
+        dp_ps: None,
+        cache_salt: 0,
+        probe: None,
+    };
+    portfolio.evaluate(&inputs, Some(&cache));
+    assert_eq!(cache.misses(), 1, "the whole-plan lookup missed");
+    let ev = sink
+        .events_of("hier.plan")
+        .pop()
+        .expect("hier.plan emitted");
+    assert!(
+        !ev.field("decompose_cached").as_bool().unwrap(),
+        "the cache pass must not decompose ahead of the planner"
+    );
+}
