@@ -6,13 +6,20 @@
 //! a refactor that changes any decision, or does extra probe or portfolio
 //! work (the `sim.iterations` and `planner.candidates` counters), fails
 //! here directly.
+//!
+//! The start-plan pins at the end fix what a session starts with on the
+//! benchmark's session inputs, on one start data parallelism cannot host,
+//! and in a fleet stream over the benchmark's paper templates. They were
+//! recorded while every start still planned and probed data parallelism,
+//! model parallelism and the hierarchical fallback together.
 
 use std::sync::Arc;
 
 use fastt::fleet::{seeded_workload, ClusterManager};
-use fastt::{Plan, SessionConfig, TrainingSession};
-use fastt_cluster::Topology;
-use fastt_models::Model;
+use fastt::{Plan, PlanCache, SessionConfig, TrainingSession};
+use fastt_cluster::{Allocation, AllocationId, DeviceId, Topology};
+use fastt_graph::build_training_graph;
+use fastt_models::{stacked_transformer, Model};
 use fastt_sim::{FaultSchedule, HardwarePerf};
 use fastt_telemetry::{Collector, MemorySink, MetricValue};
 
@@ -283,6 +290,132 @@ fn seeded_fleet_event_log() {
     assert_eq!(
         fnv(log.as_bytes()),
         15123818589548581453,
+        "fleet decisions moved:\n{log}"
+    );
+}
+
+/// FNV-1a over a start plan: placement, enforced order and `est_finish`
+/// bits.
+fn start_hash(plan: &Plan) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(&placement_hash(plan).to_le_bytes());
+    h.mix(&order_hash(plan).to_le_bytes());
+    h.mix(&plan.est_finish.to_bits().to_le_bytes());
+    h.0
+}
+
+/// The benchmark's session inputs: `model` on `topo` at its per-replica
+/// batch, with the parameter-server rule of the paper baselines (CNNs on
+/// the host, NLP models on GPU 0).
+fn start_sig(model: Model, topo: Topology) -> (bool, u64) {
+    let n = topo.gpu_count() as u64;
+    let batch = (model.paper_batch() / n).max(model.min_batch());
+    let config = SessionConfig {
+        dp_ps: (!model.is_cnn()).then_some(DeviceId(0)),
+        ..SessionConfig::default()
+    };
+    let s = TrainingSession::new(
+        &model.training_graph(batch),
+        topo,
+        HardwarePerf::new(),
+        config,
+    )
+    .unwrap();
+    (s.started_data_parallel(), start_hash(s.current_plan()))
+}
+
+fn check_start_plans(topo: Topology, want: &[(Model, bool, u64)]) {
+    let got: Vec<(Model, bool, u64)> = want
+        .iter()
+        .map(|&(model, _, _)| {
+            let (dp, hash) = start_sig(model, topo.clone());
+            (model, dp, hash)
+        })
+        .collect();
+    assert_eq!(got, want, "start plans moved");
+}
+
+#[test]
+fn paper_1server_start_plans() {
+    check_start_plans(
+        Topology::multi_server(1, 4),
+        &[
+            (Model::AlexNet, true, 1792167710483117375),
+            (Model::Vgg19, true, 11250465298657441693),
+            (Model::InceptionV3, true, 3282200981617485674),
+            (Model::ResNet200, true, 13397860529636395981),
+            (Model::LeNet, true, 10285176723134832962),
+            (Model::Transformer, true, 4495214998148436297),
+            (Model::BertLarge, true, 5012977205467480295),
+            (Model::Gnmt4, true, 10852785677144469965),
+            (Model::Rnnlm, true, 10218121053737556769),
+        ],
+    );
+}
+
+#[test]
+fn paper_2server_start_plans() {
+    check_start_plans(
+        Topology::multi_server(2, 2),
+        &[
+            (Model::Transformer, true, 12925154152861365302),
+            (Model::Gnmt4, true, 16809705132265502015),
+            (Model::Rnnlm, true, 8603166314061979641),
+            (Model::InceptionV3, true, 14898252866307404958),
+            (Model::Vgg19, true, 9441396215801387089),
+        ],
+    );
+}
+
+/// A start that data parallelism cannot host: a 32768-sample stacked
+/// Transformer on a two-GPU slice of 2x4 falls back to model parallelism.
+#[test]
+fn data_parallel_infeasible_admission_start_plan() {
+    let g = build_training_graph(&stacked_transformer(32768, 4)).unwrap();
+    let shared = Topology::multi_server(2, 4);
+    let alloc = Allocation::new(AllocationId(0), &shared, &[DeviceId(0), DeviceId(1)]);
+    let s = TrainingSession::with_allocation(
+        &g,
+        alloc,
+        HardwarePerf::new(),
+        SessionConfig::default(),
+        Arc::new(PlanCache::default()),
+        None,
+    )
+    .unwrap();
+    assert_eq!(
+        (s.started_data_parallel(), start_hash(s.current_plan())),
+        (false, 4475980827116120482),
+        "model-parallel fallback start moved"
+    );
+}
+
+/// One job stream over the fleet benchmark's eight paper templates: four
+/// models, each at its per-replica batch on 2x4 and at half of it.
+#[test]
+fn paper_template_fleet_event_log() {
+    let topo = Topology::multi_server(2, 4);
+    let n = topo.gpu_count() as u64;
+    let mut templates = Vec::new();
+    for m in [
+        Model::Transformer,
+        Model::InceptionV3,
+        Model::Vgg19,
+        Model::Gnmt4,
+    ] {
+        let big = (m.paper_batch() / n).max(m.min_batch());
+        for batch in [big, (big / 2).max(m.min_batch())] {
+            templates.push((format!("{}@{batch}", m.name()), m.training_graph(batch)));
+        }
+    }
+    let mut fleet = ClusterManager::new(topo, HardwarePerf::new(), 3);
+    for spec in seeded_workload(3, &templates, 8) {
+        fleet.submit(spec);
+    }
+    let log = fleet.run().unwrap().event_log();
+    assert_eq!(
+        fnv(log.as_bytes()),
+        5221278773056492099,
         "fleet decisions moved:\n{log}"
     );
 }
