@@ -18,14 +18,15 @@
 use crate::linreg::LinReg;
 use fastt_cluster::{DeviceId, Link, LinkClass, Topology};
 use fastt_sim::RunTrace;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Pessimism factor a distrusted hop's line is scaled by when no explicit
 /// factor is given (see [`CommCostModel::distrust_link`]).
 pub const DEFAULT_DISTRUST_FACTOR: f64 = 8.0;
 
 /// Maximum retained samples per regression key (new data replaces the
-/// oldest, so the model adapts to changing congestion).
+/// oldest, so the model adapts to changing congestion). Each key's samples
+/// are a ring buffer, so replacing one costs O(1).
 const MAX_SAMPLES_PER_KEY: usize = 512;
 
 /// Fraction of the worst-residual samples discarded per refit; keeps a few
@@ -108,7 +109,8 @@ impl ResolvedMaxComm {
 /// to a topology, per-device-pair fits otherwise.
 #[derive(Debug, Clone, Default)]
 pub struct CommCostModel {
-    samples: HashMap<CommKey, Vec<(f64, f64)>>,
+    /// Retained `(bytes, secs)` samples per key, oldest first.
+    samples: HashMap<CommKey, VecDeque<(f64, f64)>>,
     fits: HashMap<CommKey, LinReg>,
     /// Analytic per-class priors from the bound topology's [`Link`] specs
     /// (slowest spec per class). Consulted only when a class has no fit;
@@ -178,8 +180,9 @@ impl CommCostModel {
         self.route_shapes.sort();
         self.topo = Some(topo.clone());
 
-        // Re-bucket any pre-bind per-pair samples under their link class.
-        let pairs: Vec<(DeviceId, DeviceId)> = self
+        // Re-bucket any pre-bind per-pair samples under their link class,
+        // pairs in id order so a class's sample order is deterministic.
+        let mut pairs: Vec<(DeviceId, DeviceId)> = self
             .samples
             .keys()
             .filter_map(|k| match k {
@@ -187,6 +190,7 @@ impl CommCostModel {
                 CommKey::Class(_) => None,
             })
             .collect();
+        pairs.sort_unstable();
         let mut moved = false;
         for (s, d) in pairs {
             if let Some(c) = self.class_key(s, d) {
@@ -237,9 +241,9 @@ impl CommCostModel {
         };
         let v = self.samples.entry(key).or_default();
         if v.len() >= MAX_SAMPLES_PER_KEY {
-            v.remove(0);
+            v.pop_front();
         }
-        v.push((bytes as f64, secs));
+        v.push_back((bytes as f64, secs));
     }
 
     /// Ingests every transfer record of a profiled iteration and refits
@@ -260,8 +264,9 @@ impl CommCostModel {
         self.generation += 1;
         self.fits = self
             .samples
-            .iter()
+            .iter_mut()
             .filter_map(|(k, pts)| {
+                let pts = pts.make_contiguous();
                 LinReg::fit_trimmed(pts, TRIM_FRAC)
                     .or_else(|| LinReg::proportional(pts))
                     .map(|f| (*k, f))
@@ -532,6 +537,111 @@ mod tests {
             m.observe(D0, D1, i as u64, 1.0);
         }
         assert_eq!(m.samples[&CommKey::Pair(D0, D1)].len(), MAX_SAMPLES_PER_KEY);
+    }
+
+    /// The fit `refit` makes of `pts`, in the order given.
+    fn reference_fit(pts: &[(f64, f64)]) -> Option<LinReg> {
+        LinReg::fit_trimmed(pts, TRIM_FRAC).or_else(|| LinReg::proportional(pts))
+    }
+
+    fn fit_bits(f: Option<&LinReg>) -> Option<(u64, u64, usize)> {
+        f.map(|f| (f.slope.to_bits(), f.intercept.to_bits(), f.n))
+    }
+
+    /// The ring buffer must keep exactly what a `Vec` that drops its oldest
+    /// sample with `remove(0)` keeps, in the same order, so every refit is
+    /// bit-identical — per pair before binding, through re-bucketing, and
+    /// per class after.
+    #[test]
+    fn ring_buffer_fits_match_a_shifting_vec_reference() {
+        let topo = Topology::single_server(4);
+        let host = topo.host_of(0).unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let mut sample = move || {
+            let bytes = (next() % 1000 + 1) * 4096;
+            let noise = 1.0 + (next() % 200) as f64 / 1000.0;
+            let spike = if next() % 97 == 0 { 20.0 } else { 1.0 };
+            (bytes, (1e-5 + bytes as f64 / 40e9) * noise * spike)
+        };
+        let push = |v: &mut Vec<(f64, f64)>, (b, t): (u64, f64)| {
+            if v.len() >= MAX_SAMPLES_PER_KEY {
+                v.remove(0);
+            }
+            v.push((b as f64, t));
+        };
+
+        // Unbound: per-pair keys, two of them past the window.
+        let pairs = [
+            (D0, D1, 700),
+            (DeviceId(2), DeviceId(3), 300),
+            (D0, host, 600),
+        ];
+        let mut m = CommCostModel::new();
+        let mut per_pair: Vec<Vec<(f64, f64)>> = vec![Vec::new(); pairs.len()];
+        for (i, &(src, dst, n)) in pairs.iter().enumerate() {
+            for _ in 0..n {
+                let (b, t) = sample();
+                m.observe(src, dst, b, t);
+                push(&mut per_pair[i], (b, t));
+            }
+        }
+        m.refit();
+        for (i, &(src, dst, _)) in pairs.iter().enumerate() {
+            assert_eq!(
+                fit_bits(m.fit_for(src, dst)),
+                fit_bits(reference_fit(&per_pair[i]).as_ref())
+            );
+        }
+
+        // Binding re-buckets the pairs into classes, pairs in id order.
+        m.bind_topology(&topo);
+        let mut nvlink: Vec<(f64, f64)> = Vec::new();
+        let mut pcie: Vec<(f64, f64)> = Vec::new();
+        let rebucket = |class: &mut Vec<(f64, f64)>, pts: &[(f64, f64)]| {
+            class.extend(pts);
+            let overflow = class.len().saturating_sub(MAX_SAMPLES_PER_KEY);
+            class.drain(..overflow);
+        };
+        rebucket(&mut nvlink, &per_pair[0]);
+        rebucket(&mut pcie, &per_pair[2]);
+        rebucket(&mut nvlink, &per_pair[1]);
+        assert_eq!(
+            fit_bits(m.fit_for(D0, D1)),
+            fit_bits(reference_fit(&nvlink).as_ref())
+        );
+        assert_eq!(
+            fit_bits(m.fit_for(D0, host)),
+            fit_bits(reference_fit(&pcie).as_ref())
+        );
+
+        // Bound: class keys keep sliding, refitted as trace ingestion does.
+        for round in 0..9 {
+            for _ in 0..100 {
+                let (b, t) = sample();
+                if round % 3 == 2 {
+                    m.observe(host, DeviceId(3), b, t);
+                    push(&mut pcie, (b, t));
+                } else {
+                    m.observe(DeviceId(1), DeviceId(2), b, t);
+                    push(&mut nvlink, (b, t));
+                }
+            }
+            m.refit();
+            assert_eq!(
+                fit_bits(m.fit_for(D0, D1)),
+                fit_bits(reference_fit(&nvlink).as_ref())
+            );
+            assert_eq!(
+                fit_bits(m.fit_for(D0, host)),
+                fit_bits(reference_fit(&pcie).as_ref())
+            );
+        }
     }
 
     #[test]

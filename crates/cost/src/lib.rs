@@ -48,7 +48,7 @@ mod comp;
 mod linreg;
 
 pub use comm::{CommCostModel, ResolvedMaxComm, ResolvedPair, DEFAULT_DISTRUST_FACTOR};
-pub use comp::{canonical_name, CompCostModel, OpTimes};
+pub use comp::{canonical_name, CompCostModel, CostRows, OpTimes};
 pub use linreg::LinReg;
 
 use fastt_graph::Graph;
@@ -93,7 +93,8 @@ impl CostModels {
     /// model, transfer records feed the communication model.
     pub fn update_from_trace(&mut self, graph: &Graph, trace: &RunTrace) {
         if let Some(col) = self.collector.clone() {
-            self.score_trace(graph, trace, &col);
+            let rows = self.comp.resolve(graph);
+            self.score_trace(&rows, trace, &col);
         }
         self.comp.update_from_trace(graph, trace);
         self.comm.update_from_trace(trace);
@@ -102,7 +103,7 @@ impl CostModels {
     /// Prediction-vs-actual accuracy of the current models on `trace`,
     /// *before* the trace is ingested: mean absolute percentage error over
     /// every record the models can predict.
-    fn score_trace(&self, graph: &Graph, trace: &RunTrace, col: &Collector) {
+    fn score_trace(&self, rows: &CostRows, trace: &RunTrace, col: &Collector) {
         let mut sum = 0.0f64;
         let mut n = 0u64;
         let mut worst = 0.0f64;
@@ -111,7 +112,7 @@ impl CostModels {
             if actual <= 0.0 {
                 continue;
             }
-            if let Some(pred) = self.comp.get(&graph.op_ref(r.op).name, r.device) {
+            if let Some(pred) = self.comp.op_times(rows, r.op).get(r.device) {
                 let rel = (pred - actual).abs() / actual;
                 col.metrics().observe("cost.rel_error", rel);
                 sum += rel;

@@ -134,15 +134,17 @@ fn twin_job_admission_is_a_pure_cache_hit() {
 /// cannot reuse the whole plan (different graph fingerprint), yet the
 /// hierarchical planner serves its repeated regions from the sibling's
 /// region sub-plans — recorded on the separate region counters, so the
-/// pinned twin-admission zero-miss invariant above is unaffected.
+/// pinned twin-admission zero-miss invariant above is unaffected. Both
+/// siblings are too large to replicate on their two-GPU slices, so their
+/// admissions fall back and plan the hierarchical planner.
 #[test]
 fn depth_sibling_admission_reuses_region_sub_plans() {
     use fastt_graph::build_training_graph;
     use fastt_models::stacked_transformer;
 
     let shared = Topology::multi_server(2, 4);
-    let g4 = build_training_graph(&stacked_transformer(64, 4)).unwrap();
-    let g6 = build_training_graph(&stacked_transformer(64, 6)).unwrap();
+    let g4 = build_training_graph(&stacked_transformer(32768, 4)).unwrap();
+    let g6 = build_training_graph(&stacked_transformer(32768, 6)).unwrap();
     let cache = Arc::new(fastt::PlanCache::new(512));
     let config = || SessionConfig {
         profile_iters: 1,
@@ -151,7 +153,7 @@ fn depth_sibling_admission_reuses_region_sub_plans() {
     };
 
     let alloc1 = Allocation::new(AllocationId(0), &shared, &[DeviceId(1), DeviceId(2)]);
-    let _s1 = TrainingSession::with_allocation(
+    let s1 = TrainingSession::with_allocation(
         &g4,
         alloc1,
         HardwarePerf::new(),
@@ -160,6 +162,7 @@ fn depth_sibling_admission_reuses_region_sub_plans() {
         None,
     )
     .unwrap();
+    assert!(!s1.started_data_parallel());
     assert!(
         cache.region_misses() > 0,
         "first admission must record region sub-plans"
@@ -168,7 +171,7 @@ fn depth_sibling_admission_reuses_region_sub_plans() {
 
     // Same layer block, two layers deeper, on the other server's slice.
     let alloc2 = Allocation::new(AllocationId(1), &shared, &[DeviceId(6), DeviceId(7)]);
-    let _s2 = TrainingSession::with_allocation(
+    let s2 = TrainingSession::with_allocation(
         &g6,
         alloc2,
         HardwarePerf::new(),
@@ -177,12 +180,61 @@ fn depth_sibling_admission_reuses_region_sub_plans() {
         None,
     )
     .unwrap();
+    assert!(!s2.started_data_parallel());
     assert!(
         cache.region_hits() > region_hits_after_first,
         "depth-sibling admission must reuse the sibling's region sub-plans \
          (region hits {} -> {})",
         region_hits_after_first,
         cache.region_hits(),
+    );
+}
+
+/// Admission is first-feasible: a job whose replicas fit plans data
+/// parallelism alone (one whole-plan miss, no region traffic), and only a
+/// job whose replicas do not fit also plans model parallelism and the
+/// hierarchical fallback, which records its region sub-plans.
+#[test]
+fn admission_plans_fallbacks_only_when_data_parallelism_does_not_fit() {
+    use fastt_graph::build_training_graph;
+    use fastt_models::stacked_transformer;
+
+    let shared = Topology::multi_server(2, 4);
+    let admit = |graph: &fastt_graph::Graph, cache: &Arc<fastt::PlanCache>| {
+        let alloc = Allocation::new(AllocationId(0), &shared, &[DeviceId(0), DeviceId(1)]);
+        TrainingSession::with_allocation(
+            graph,
+            alloc,
+            HardwarePerf::new(),
+            SessionConfig::default(),
+            cache.clone(),
+            None,
+        )
+        .unwrap()
+    };
+
+    let fits = Arc::new(fastt::PlanCache::default());
+    let s = admit(&Model::LeNet.training_graph(32), &fits);
+    assert!(s.started_data_parallel());
+    assert_eq!((fits.hits(), fits.misses()), (0, 1), "DP planned alone");
+    assert_eq!(
+        (fits.region_hits(), fits.region_misses()),
+        (0, 0),
+        "no hierarchical plan at a DP-feasible admission"
+    );
+
+    let too_big = Arc::new(fastt::PlanCache::default());
+    let g = build_training_graph(&stacked_transformer(32768, 4)).unwrap();
+    let s = admit(&g, &too_big);
+    assert!(!s.started_data_parallel());
+    assert_eq!(
+        too_big.misses(),
+        3,
+        "DP, then model parallelism and hierarchical"
+    );
+    assert!(
+        too_big.region_misses() > 0,
+        "the hierarchical fallback records region sub-plans"
     );
 }
 
