@@ -9,12 +9,14 @@
 //! cargo run --release -p fastt-bench --bin report -- alexnet 4 /tmp/fastt-report
 //! # multi-server: SERVERSxGPUS (2 servers of 4 GPUs over RDMA)
 //! cargo run --release -p fastt-bench --bin report -- alexnet 2x4 /tmp/fastt-report
-//! # with a scripted chaos scenario (fault injection + recovery timeline):
-//! cargo run --release -p fastt-bench --bin report -- alexnet 4 /tmp/fastt-report chaos:21
-//! # network chaos (link flaps, partitions, stragglers, NIC degradation):
-//! cargo run --release -p fastt-bench --bin report -- alexnet 2x2 /tmp/fastt-report netchaos:21
-//! # elastic churn (spot revocations, arrivals, hot-adds + promotion ladder):
-//! cargo run --release -p fastt-bench --bin report -- lenet 2x2 /tmp/fastt-report elastic:21
+//! # replay a scenario file's faults and lifecycle events, then train for
+//! # its `iters` (device chaos, network chaos, elastic churn):
+//! cargo run --release -p fastt-bench --bin report -- lenet 4 /tmp/fastt-report \
+//!     --scenario fuzz/corpus/chaos-21.fuzz
+//! cargo run --release -p fastt-bench --bin report -- lenet 2x2 /tmp/fastt-report \
+//!     --scenario fuzz/corpus/netchaos-21.fuzz
+//! cargo run --release -p fastt-bench --bin report -- lenet 2x2 /tmp/fastt-report \
+//!     --scenario fuzz/corpus/churn-21.fuzz
 //! # multi-tenant fleet (seeded job arrivals, preemption, shared plan cache):
 //! cargo run --release -p fastt-bench --bin report -- lenet 2x4 /tmp/fastt-report fleet:21
 //! ```
@@ -23,6 +25,7 @@ use fastt::search::{CemPlanner, GdpPlanner, McmcPlanner, RandomPlanner, Reinforc
 use fastt::{Portfolio, PortfolioInputs, SessionConfig, TrainingSession};
 use fastt_bench::{dp_ps_for, per_replica_batch};
 use fastt_cluster::Topology;
+use fastt_sim::faults::scenario_lines;
 use fastt_sim::{FaultSchedule, HardwarePerf, SimConfig};
 use fastt_telemetry::{parse_jsonl, Collector, Event, JsonlSink};
 use std::path::PathBuf;
@@ -38,71 +41,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outdir = PathBuf::from(args.next().unwrap_or_else(|| "report-out".into()));
     std::fs::create_dir_all(&outdir)?;
 
-    // Optional 4th arg `chaos[:seed]`, `netchaos[:seed]`, or
-    // `elastic[:seed]`: inject a seeded fault scenario and run the
-    // normal-training stage so the recovery machinery has something to do.
-    // `chaos` scripts device faults (straggler, degraded link, transient
-    // ops, memory pressure, one mid-run crash); `netchaos` scripts network
-    // faults (link flaps, a host partition, a collective straggler, NIC
-    // degradation); `elastic` scripts cluster churn (spot revocations with
-    // notice windows, device arrivals, a hot-added server) so the capacity
-    // oscillates and the promotion ladder engages.
-    let (chaos_seed, chaos_mode): (Option<u64>, &str) = match args.next() {
-        Some(s) if s == "chaos" => (Some(21), "chaos"),
-        Some(s) if s == "netchaos" => (Some(21), "netchaos"),
-        Some(s) if s == "elastic" => (Some(21), "elastic"),
-        Some(s) if s == "fleet" => (Some(21), "fleet"),
-        Some(s) => {
-            let (prefix, mode) = if let Some(n) = s.strip_prefix("netchaos:") {
-                (n, "netchaos")
-            } else if let Some(n) = s.strip_prefix("chaos:") {
-                (n, "chaos")
-            } else if let Some(n) = s.strip_prefix("elastic:") {
-                (n, "elastic")
-            } else if let Some(n) = s.strip_prefix("fleet:") {
-                (n, "fleet")
-            } else {
-                return Err(format!(
-                    "unknown argument `{s}` (expected `chaos[:seed]`, `netchaos[:seed]`, \
-                     `elastic[:seed]`, or `fleet[:seed]`)"
-                )
-                .into());
-            };
-            let seed = prefix
-                .parse()
-                .map_err(|_| format!("chaos seed must be an integer, got `{prefix}`"))?;
-            (Some(seed), mode)
-        }
-        None => (None, ""),
-    };
-
     let needle = model_arg.to_lowercase();
     let model = fastt_models::Model::all()
         .into_iter()
         .find(|m| m.name().to_lowercase().contains(&needle))
         .ok_or_else(|| format!("unknown model `{model_arg}`"))?;
 
-    if chaos_mode == "fleet" {
-        return fleet_report(model, topo, &topo_label, &outdir, chaos_seed.unwrap_or(21));
-    }
+    // Optional 4th argument: `--scenario <file>` injects the fault and
+    // lifecycle lines of a scenario file (the `fuzz/corpus/` format) and
+    // runs the normal-training stage for the file's `iters`, so the
+    // recovery machinery has something to do; `fleet[:seed]` runs a seeded
+    // multi-tenant fleet instead of one session.
+    let scenario = match args.next().as_deref() {
+        None => None,
+        Some("--scenario") => {
+            let path = args.next().ok_or("`--scenario` needs a scenario file")?;
+            Some(load_scenario(&path, &topo)?)
+        }
+        Some("fleet") => return fleet_report(model, topo, &topo_label, &outdir, 21),
+        Some(arg) => {
+            let seed = arg.strip_prefix("fleet:").ok_or_else(|| {
+                format!("unknown argument `{arg}` (expected `--scenario <file>` or `fleet[:seed]`)")
+            })?;
+            let seed = seed
+                .parse()
+                .map_err(|_| format!("fleet seed must be an integer, got `{seed}`"))?;
+            return fleet_report(model, topo, &topo_label, &outdir, seed);
+        }
+    };
+    let (faults, scenario_iters) = scenario.unzip();
 
     let batch = per_replica_batch(model, model.paper_batch(), gpus as u32);
     let graph = model.training_graph(batch);
-    let servers = topo
-        .device_ids()
-        .map(|d| topo.server_of(d))
-        .max()
-        .map(|s| s + 1)
-        .unwrap_or(1);
     let config = SessionConfig {
         dp_ps: dp_ps_for(model),
-        faults: chaos_seed.map(|s| {
-            Arc::new(match chaos_mode {
-                "netchaos" => FaultSchedule::seeded_network(s, gpus, servers, 40),
-                "elastic" => FaultSchedule::seeded_churn(s, gpus, servers, 60),
-                _ => FaultSchedule::seeded(s, gpus, 60, gpus >= 2),
-            })
-        }),
+        faults: faults.map(Arc::new),
         ..SessionConfig::default()
     };
 
@@ -112,10 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = TrainingSession::new(&graph, topo.clone(), HardwarePerf::new(), config)?;
     session.attach_collector(collector.clone());
     let report = session.pre_train()?;
-    if chaos_seed.is_some() {
-        // run into the fault windows so the recovery timeline has content;
-        // the churn schedule spans more iterations than the chaos ones
-        session.train_normal(if chaos_mode == "elastic" { 60 } else { 40 }, 5)?;
+    if let Some(iters) = scenario_iters {
+        // run into the fault windows so the recovery timeline has content
+        session.train_normal(iters, 5)?;
     }
     collector.flush();
 
@@ -383,7 +355,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("[{:>9} us] {line}", e.t_us);
     }
     if !any_fault {
-        println!("(no faults injected — pass `chaos[:seed]` as the 4th argument)");
+        println!("(no faults injected — pass `--scenario fuzz/corpus/chaos-21.fuzz`)");
     } else {
         let topo_now = session.topology();
         println!(
@@ -465,7 +437,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("[{:>9} us] {line}", e.t_us);
     }
     if !any_link {
-        println!("(no link-health events — pass `netchaos[:seed]` as the 4th argument)");
+        println!("(no link-health events — pass `--scenario fuzz/corpus/netchaos-21.fuzz`)");
     } else {
         let hm = session.health();
         println!(
@@ -883,7 +855,7 @@ fn elasticity_section(events: &[Event]) {
         println!("[{:>9} us] {line}", e.t_us);
     }
     if !any_elastic {
-        println!("(no capacity changes — pass `elastic[:seed]` as the 4th argument)");
+        println!("(no capacity changes — pass `--scenario fuzz/corpus/churn-21.fuzz`)");
         return;
     }
     // Capacity timeline: the live-GPU count every time it moved, against
@@ -935,6 +907,38 @@ fn elasticity_section(events: &[Event]) {
         count("session.scaled_up"),
         count("session.promoted"),
     );
+}
+
+/// The fault schedule and iteration count of the scenario file at `path`,
+/// with the schedule checked against `topo`.
+fn load_scenario(path: &str, topo: &Topology) -> Result<(FaultSchedule, u32), String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read scenario `{path}`: {e}"))?;
+    let err = |e: String| format!("scenario `{path}`: {e}");
+    let faults = FaultSchedule::from_scenario(&text).map_err(err)?;
+    let gpus = topo.gpu_count() as u16;
+    let servers = topo.device_ids().map(|d| topo.server_of(d) + 1).max();
+    let servers = servers.unwrap_or(1);
+    let outside = |entry: String| {
+        err(format!(
+            "`{entry}` names a device or server outside {gpus} GPUs on {servers} server(s)"
+        ))
+    };
+    if let Some(f) = faults.faults().iter().find(|f| !f.fits(gpus, servers)) {
+        return Err(outside(format!("fault = {f}")));
+    }
+    if let Some(e) = faults.lifecycle().iter().find(|e| !e.fits(gpus)) {
+        return Err(outside(format!("lifecycle = {e}")));
+    }
+    let iters = scenario_lines(&text)
+        .flatten()
+        .find(|&(_, key, _)| key == "iters")
+        .ok_or_else(|| err("missing `iters`".into()))?
+        .2;
+    let iters = iters
+        .parse()
+        .map_err(|_| err(format!("`iters` must be an integer, got `{iters}`")))?;
+    Ok((faults, iters))
 }
 
 /// `N` → one server with N GPUs; `SxG` → S servers of G GPUs each. Returns

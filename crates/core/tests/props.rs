@@ -230,11 +230,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn recovery_log_replays_identically(seed in any::<u64>(), gpus in 2u16..5) {
+    fn recovery_log_replays_identically(
+        seed in any::<u64>(),
+        gpus in 2u16..5,
+        slowdown in 1.5f64..8.0,
+        crash_at in 8u64..24,
+    ) {
         use fastt::{SessionConfig, TrainingSession};
         use fastt_models::Model;
-        use fastt_sim::FaultSchedule;
+        use fastt_sim::{Fault, FaultKind, FaultSchedule};
         use std::sync::Arc;
+        let faults = Arc::new(FaultSchedule::new(vec![
+            Fault::windowed(FaultKind::Straggler { device: DeviceId(0), slowdown }, 4, 14),
+            Fault::from(FaultKind::Crash { device: DeviceId(gpus - 1) }, crash_at),
+        ]));
         let run = || {
             let g = Model::LeNet.training_graph(16);
             let topo = Topology::single_server(gpus);
@@ -242,7 +251,7 @@ proptest! {
                 profile_iters: 2,
                 max_rounds: 2,
                 seed,
-                faults: Some(Arc::new(FaultSchedule::seeded(seed, gpus, 30, true))),
+                faults: Some(faults.clone()),
                 ..SessionConfig::default()
             };
             let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), cfg).unwrap();

@@ -13,8 +13,9 @@
 //! On violation, [`minimize()`] delta-debugs the scenario along every
 //! generation axis to a locally minimal reproducer, and [`replay`]
 //! serializes it to a self-contained text file that replays
-//! byte-for-byte — the committed files under `fuzz/corpus/` are exactly
-//! such reproducers, re-run on every `cargo test`.
+//! byte-for-byte. The committed files under `fuzz/corpus/` are such
+//! reproducers plus the hand-written seed-21 fault and churn scenarios
+//! the integration tests pin; all of them re-run on every `cargo test`.
 //!
 //! ```text
 //! cargo run -p fastt-fuzz -- --seed 0 --count 200          # sweep

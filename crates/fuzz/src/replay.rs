@@ -1,10 +1,14 @@
 //! Self-contained replay files: a line-oriented text codec for
-//! [`Scenario`] that round-trips exactly (all fields are integers), so a
-//! minimized reproducer committed to `fuzz/corpus/` replays the same
-//! scenario forever, with no external parser dependencies.
+//! [`Scenario`] that round-trips exactly, so a minimized reproducer
+//! committed to `fuzz/corpus/` replays the same scenario forever, with no
+//! external parser dependencies. The corpus also holds hand-written
+//! scenarios: the seed-21 fault and churn schedules the integration tests
+//! pin and `report --scenario` replays.
 //!
 //! Format (`#` starts a comment, order of `fault`/`lifecycle`/`job` lines
-//! is significant, everything else is one `key = value` per line):
+//! is significant, everything else is one `key = value` per line). The
+//! `fault` and `lifecycle` values are `fastt-sim`'s scenario lines
+//! ([`fastt_sim::faults`]), which hold exact decimal values:
 //!
 //! ```text
 //! # fastt-fuzz scenario v1
@@ -15,15 +19,15 @@
 //! layers = dense:32 fan:16x2 block norm
 //! topo = 2x2 nvlink
 //! planner = hierarchical
-//! fault = straggler dev=1 factor_x10=35 from=4 to=9
+//! fault = straggler dev=1 slowdown=3.5 from=4 to=9
 //! lifecycle = spot dev=2 at=6 notice=3
 //! job = arrival=0 iters=8 gpus=2 min=1 prio=3
 //! ```
 
 use crate::scenario::{
-    FaultSpec, FuzzJob, GraphSpec, LayerSpec, LifecycleSpec, LinkProfile, PlannerChoice, Scenario,
-    TopoSpec,
+    FuzzJob, GraphSpec, LayerSpec, LinkProfile, PlannerChoice, Scenario, TopoSpec,
 };
+use fastt_sim::faults::scenario_lines;
 use std::fmt::Write as _;
 
 /// Serializes a scenario to the replay text format.
@@ -54,73 +58,10 @@ pub fn to_text(sc: &Scenario) -> String {
     );
     let _ = writeln!(out, "planner = {}", sc.planner.as_str());
     for f in &sc.faults {
-        let line = match *f {
-            FaultSpec::Straggler {
-                dev,
-                factor_x10,
-                from,
-                to,
-            } => format!("straggler dev={dev} factor_x10={factor_x10} from={from} to={to}"),
-            FaultSpec::LinkDegrade {
-                src,
-                dst,
-                factor_x10,
-                from,
-                to,
-            } => format!(
-                "link_degrade src={src} dst={dst} factor_x10={factor_x10} from={from} to={to}"
-            ),
-            FaultSpec::Transient {
-                dev,
-                prob_pct,
-                from,
-                to,
-            } => format!("transient dev={dev} prob_pct={prob_pct} from={from} to={to}"),
-            FaultSpec::ProfileFail { dev, attempts } => {
-                format!("profile_fail dev={dev} attempts={attempts}")
-            }
-            FaultSpec::Crash { dev, at } => format!("crash dev={dev} at={at}"),
-            FaultSpec::MemPressure {
-                dev,
-                reserve_mib,
-                from,
-                to,
-            } => format!("mem_pressure dev={dev} reserve_mib={reserve_mib} from={from} to={to}"),
-            FaultSpec::LinkFlap {
-                src,
-                dst,
-                prob_pct,
-                from,
-                to,
-            } => format!("link_flap src={src} dst={dst} prob_pct={prob_pct} from={from} to={to}"),
-            FaultSpec::Partition { server, at } => format!("partition server={server} at={at}"),
-            FaultSpec::CollectiveStraggler {
-                dev,
-                factor_x10,
-                from,
-                to,
-            } => format!(
-                "collective_straggler dev={dev} factor_x10={factor_x10} from={from} to={to}"
-            ),
-            FaultSpec::NicDegrade {
-                server,
-                factor_x10,
-                from,
-                to,
-            } => format!("nic_degrade server={server} factor_x10={factor_x10} from={from} to={to}"),
-        };
-        let _ = writeln!(out, "fault = {line}");
+        let _ = writeln!(out, "fault = {f}");
     }
     for l in &sc.lifecycle {
-        let line = match *l {
-            LifecycleSpec::Spot { dev, at, notice } => {
-                format!("spot dev={dev} at={at} notice={notice}")
-            }
-            LifecycleSpec::Restore { dev, at } => format!("restore dev={dev} at={at}"),
-            LifecycleSpec::Arrival { dev, at } => format!("arrival dev={dev} at={at}"),
-            LifecycleSpec::HostArrival { gpus, at } => format!("host_arrival gpus={gpus} at={at}"),
-        };
-        let _ = writeln!(out, "lifecycle = {line}");
+        let _ = writeln!(out, "lifecycle = {l}");
     }
     for j in &sc.jobs {
         let _ = writeln!(
@@ -159,16 +100,9 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
     let mut lifecycle = Vec::new();
     let mut jobs = Vec::new();
 
-    for (no, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .map(|(k, v)| (k.trim(), v.trim()))
-            .ok_or_else(|| format!("line {}: expected `key = value`", no + 1))?;
-        let err = |e: String| format!("line {}: {e}", no + 1);
+    for entry in scenario_lines(text) {
+        let (no, key, value) = entry?;
+        let err = |e: String| format!("line {no}: {e}");
         match key {
             "seed" => seed = Some(value.parse::<u64>().map_err(|e| err(e.to_string()))?),
             "iters" => iters = Some(value.parse::<u64>().map_err(|e| err(e.to_string()))?),
@@ -226,99 +160,8 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
                     other => return Err(err(format!("unknown planner `{other}`"))),
                 };
             }
-            "fault" => {
-                let words: Vec<&str> = value.split_whitespace().collect();
-                let kind = *words.first().ok_or_else(|| err("empty fault".into()))?;
-                let w = &words[1..];
-                let f = |k: &str| field(w, k);
-                let spec = match kind {
-                    "straggler" => FaultSpec::Straggler {
-                        dev: f("dev")? as u16,
-                        factor_x10: f("factor_x10")? as u32,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    "link_degrade" => FaultSpec::LinkDegrade {
-                        src: f("src")? as u16,
-                        dst: f("dst")? as u16,
-                        factor_x10: f("factor_x10")? as u32,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    "transient" => FaultSpec::Transient {
-                        dev: f("dev")? as u16,
-                        prob_pct: f("prob_pct")? as u8,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    "profile_fail" => FaultSpec::ProfileFail {
-                        dev: f("dev")? as u16,
-                        attempts: f("attempts")? as u32,
-                    },
-                    "crash" => FaultSpec::Crash {
-                        dev: f("dev")? as u16,
-                        at: f("at")?,
-                    },
-                    "mem_pressure" => FaultSpec::MemPressure {
-                        dev: f("dev")? as u16,
-                        reserve_mib: f("reserve_mib")?,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    "link_flap" => FaultSpec::LinkFlap {
-                        src: f("src")? as u16,
-                        dst: f("dst")? as u16,
-                        prob_pct: f("prob_pct")? as u8,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    "partition" => FaultSpec::Partition {
-                        server: f("server")? as u16,
-                        at: f("at")?,
-                    },
-                    "collective_straggler" => FaultSpec::CollectiveStraggler {
-                        dev: f("dev")? as u16,
-                        factor_x10: f("factor_x10")? as u32,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    "nic_degrade" => FaultSpec::NicDegrade {
-                        server: f("server")? as u16,
-                        factor_x10: f("factor_x10")? as u32,
-                        from: f("from")?,
-                        to: f("to")?,
-                    },
-                    other => return Err(err(format!("unknown fault `{other}`"))),
-                };
-                faults.push(spec);
-            }
-            "lifecycle" => {
-                let words: Vec<&str> = value.split_whitespace().collect();
-                let kind = *words.first().ok_or_else(|| err("empty lifecycle".into()))?;
-                let w = &words[1..];
-                let f = |k: &str| field(w, k);
-                let spec = match kind {
-                    "spot" => LifecycleSpec::Spot {
-                        dev: f("dev")? as u16,
-                        at: f("at")?,
-                        notice: f("notice")?,
-                    },
-                    "restore" => LifecycleSpec::Restore {
-                        dev: f("dev")? as u16,
-                        at: f("at")?,
-                    },
-                    "arrival" => LifecycleSpec::Arrival {
-                        dev: f("dev")? as u16,
-                        at: f("at")?,
-                    },
-                    "host_arrival" => LifecycleSpec::HostArrival {
-                        gpus: f("gpus")? as u16,
-                        at: f("at")?,
-                    },
-                    other => return Err(err(format!("unknown lifecycle `{other}`"))),
-                };
-                lifecycle.push(spec);
-            }
+            "fault" => faults.push(value.parse().map_err(err)?),
+            "lifecycle" => lifecycle.push(value.parse().map_err(err)?),
             "job" => {
                 let words: Vec<&str> = value.split_whitespace().collect();
                 let f = |k: &str| field(&words, k);
@@ -330,7 +173,7 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
                     priority: f("prio")? as u8,
                 });
             }
-            other => return Err(format!("line {}: unknown key `{other}`", no + 1)),
+            other => return Err(err(format!("unknown key `{other}`"))),
         }
     }
 

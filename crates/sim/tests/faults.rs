@@ -551,7 +551,13 @@ fn chaos_schedule_is_deterministic_per_seed() {
     let mut p = Placement::uniform(g.op_count(), D0);
     p.set(OpId(2), D1);
     let run = |seed: u64| {
-        let s = FaultSchedule::seeded(seed, 2, 40, false);
+        let s = FaultSchedule::from_scenario(
+            "fault = straggler dev=1 slowdown=2.5 from=2 to=12\n\
+             fault = link_degrade src=0 dst=1 factor=3.9 from=4 to=14\n\
+             fault = transient dev=1 prob=0.5 from=0 to=10\n\
+             fault = mem_pressure dev=0 reserve_bytes=1073741824 from=5 to=15\n",
+        )
+        .unwrap();
         let c = SimConfig {
             jitter_pct: 0.05,
             seed,
@@ -571,7 +577,8 @@ fn chaos_schedule_is_deterministic_per_seed() {
 fn network_chaos_schedule_is_deterministic_per_seed() {
     let (g, t, p) = cross_chain();
     let run = |seed: u64, iter: u64| {
-        let s = FaultSchedule::seeded_network(seed, 4, 2, 40);
+        let s = FaultSchedule::from_scenario(include_str!("../../../fuzz/corpus/netchaos-21.fuzz"))
+            .unwrap();
         let c = SimConfig {
             jitter_pct: 0.05,
             seed,

@@ -183,8 +183,8 @@ proptest! {
     }
 }
 
-/// Any seed-derived fault schedule must replay bit-identically, and an
-/// empty schedule must be indistinguishable from no schedule at all.
+/// Any fault schedule must replay bit-identically, and an empty schedule
+/// must be indistinguishable from no schedule at all.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -194,17 +194,28 @@ proptest! {
         gpus in 2u16..5,
         seed in any::<u64>(),
         iteration in 0u64..40,
+        factor in 1.5f64..8.0,
+        prob in 0.0f64..1.0,
+        from in 0u64..30,
     ) {
-        use fastt_sim::FaultSchedule;
+        use fastt_sim::{Fault, FaultKind, FaultSchedule};
         use std::sync::Arc;
         let topo = Topology::single_server(gpus);
         let p = Placement::uniform(g.op_count(), DeviceId(0));
+        let (d0, d1) = (DeviceId(0), DeviceId(gpus - 1));
+        let window = |kind| Fault::windowed(kind, from, from + 10);
+        let schedule = Arc::new(FaultSchedule::new(vec![
+            window(FaultKind::Straggler { device: d0, slowdown: factor }),
+            window(FaultKind::LinkDegrade { src: d0, dst: d1, factor }),
+            window(FaultKind::TransientOp { device: d0, prob }),
+            window(FaultKind::MemPressure { device: d1, reserve_bytes: 1 << 30 }),
+        ]));
         let run = || {
             let c = SimConfig {
                 jitter_pct: 0.05,
                 seed,
                 iteration,
-                faults: Some(Arc::new(FaultSchedule::seeded(seed, gpus, 40, false))),
+                faults: Some(schedule.clone()),
                 ..cfg()
             };
             simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &c)

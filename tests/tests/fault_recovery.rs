@@ -59,7 +59,8 @@ fn recovery_decisions_are_deterministic() {
     let run = || {
         let g = Model::LeNet.training_graph(32);
         let topo = Topology::single_server(4);
-        let faults = FaultSchedule::seeded(21, 4, 40, true);
+        let faults =
+            FaultSchedule::from_scenario(include_str!("../../fuzz/corpus/chaos-21.fuzz")).unwrap();
         let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), quick(faults)).unwrap();
         s.pre_train().unwrap();
         s.train_normal(25, 5).unwrap();

@@ -81,7 +81,9 @@ fn partition_recovery_log_is_byte_identical_across_same_seed_runs() {
     let run = || {
         let g = Model::LeNet.training_graph(32);
         let topo = Topology::multi_server(2, 2);
-        let faults = FaultSchedule::seeded_network(21, 4, 2, 40);
+        let faults =
+            FaultSchedule::from_scenario(include_str!("../../fuzz/corpus/netchaos-21.fuzz"))
+                .unwrap();
         let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), quick(faults)).unwrap();
         s.pre_train().unwrap();
         s.train_normal(25, 5).unwrap();

@@ -255,7 +255,10 @@ fn same_seed_sessions_choose_identical_plans_through_recovery() {
         let cfg = SessionConfig {
             profile_iters: 2,
             max_rounds: 3,
-            faults: Some(Arc::new(FaultSchedule::seeded(21, 4, 40, true))),
+            faults: Some(Arc::new(
+                FaultSchedule::from_scenario(include_str!("../../fuzz/corpus/chaos-21.fuzz"))
+                    .unwrap(),
+            )),
             ..SessionConfig::default()
         };
         let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), cfg).unwrap();
