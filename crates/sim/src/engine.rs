@@ -53,18 +53,21 @@ pub struct SimConfig {
     /// consulted by `FaultKind::ProfileFailure` faults: attempts below the
     /// fault's threshold fail with [`SimError::Transient`].
     pub attempt: u32,
-    /// How many times a transfer retries a hop that a `LinkFlap` fault
-    /// finds down before giving up with [`SimError::LinkDown`]. Only
-    /// consulted when a fault schedule is set.
-    pub comm_retries: u32,
-    /// First retry backoff in simulated seconds; doubles per retry
-    /// (bounded exponential backoff).
-    pub comm_backoff_base: f64,
-    /// Deadline in simulated seconds for one transfer's retry budget: a
-    /// hop that cannot come up within it — a partitioned server, a flap
-    /// whose backoff would overrun it — fails typed instead of hanging.
-    pub transfer_deadline: f64,
 }
+
+/// How many times a transfer retries a hop that a `LinkFlap` fault finds
+/// down before giving up with [`SimError::LinkDown`]. Only consulted when
+/// a fault schedule is set.
+const COMM_RETRIES: u32 = 4;
+
+/// First retry backoff in simulated seconds; doubles per retry (bounded
+/// exponential backoff).
+const COMM_BACKOFF_BASE: f64 = 5e-4;
+
+/// Deadline in simulated seconds for one transfer's retry budget: a hop
+/// that cannot come up within it — a partitioned server, a flap whose
+/// backoff would overrun it — fails typed instead of hanging.
+const TRANSFER_DEADLINE: f64 = 0.5;
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -78,9 +81,6 @@ impl Default for SimConfig {
             record_mem_timeline: false,
             faults: None,
             attempt: 0,
-            comm_retries: 4,
-            comm_backoff_base: 5e-4,
-            transfer_deadline: 0.5,
         }
     }
 }
@@ -170,7 +170,7 @@ fn run_route(
                                         "dst" => b.0 as u64,
                                         "server" => server as u64,
                                         "iteration" => config.iteration,
-                                        "deadline" => config.transfer_deadline,
+                                        "deadline" => TRANSFER_DEADLINE,
                                     },
                                 );
                             }
@@ -205,11 +205,11 @@ fn run_route(
                         up = true;
                         break;
                     }
-                    if attempt >= config.comm_retries {
+                    if attempt >= COMM_RETRIES {
                         break;
                     }
-                    let backoff = config.comm_backoff_base * (1u64 << attempt.min(32)) as f64;
-                    if wait + backoff > config.transfer_deadline {
+                    let backoff = COMM_BACKOFF_BASE * (1u64 << attempt.min(32)) as f64;
+                    if wait + backoff > TRANSFER_DEADLINE {
                         break;
                     }
                     wait += backoff;

@@ -1,56 +1,69 @@
-//! Property tests. The offline build environment cannot fetch the external
-//! `proptest` crate, so these are compiled only under `--features proptest`.
-#![cfg(feature = "proptest")]
-
-//! Property-based tests of the discrete-event engine: schedule invariants
-//! that must hold for every graph, placement, and policy.
+//! Properties of the discrete-event engine: schedule invariants that must
+//! hold for every graph, placement and policy, and bit-identical replay,
+//! checked over a fixed range of seeded random DAGs.
 
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{Graph, OpId, OpKind, Operation};
-use fastt_sim::{simulate, ExecPolicy, HardwarePerf, Placement, RunTrace, SimConfig};
-use proptest::prelude::*;
+use fastt_sim::{
+    simulate, ExecPolicy, Fault, FaultKind, FaultSchedule, HardwarePerf, Placement, RunTrace,
+    SimConfig,
+};
+use std::sync::Arc;
 
-/// Deterministic pseudo-random DAG: `n` ops in layers, each with 0-2
-/// predecessors from earlier ops, mixed kinds.
-fn arb_dag() -> impl Strategy<Value = Graph> {
-    (2usize..40, any::<u64>()).prop_map(|(n, seed)| {
-        let mut g = Graph::new();
-        let kinds = [
-            OpKind::MatMul,
-            OpKind::Relu,
-            OpKind::Conv2D,
-            OpKind::Add,
-            OpKind::Pool,
-        ];
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..n {
-            let kind = kinds[(next() % kinds.len() as u64) as usize];
-            let flops = 1 << (16 + next() % 12);
-            let elems = 1 << (8 + next() % 8);
-            let id = g
-                .add_op(Operation::new(format!("o{i}"), kind, [elems]).with_flops(flops))
-                .unwrap();
-            if i > 0 {
-                let preds = next() % 3;
-                for _ in 0..preds {
-                    let p = OpId((next() % i as u64) as u32);
-                    let _ = g.connect(p, id);
-                }
-            }
-        }
-        g
-    })
+/// Every property runs once per seed in this range.
+const SEEDS: std::ops::Range<u64> = 0..48;
+
+/// xorshift64: the deterministic source of every random instance here.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Rng {
+        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
-fn arb_placement(n_ops: usize, gpus: u16) -> impl Strategy<Value = Placement> {
-    proptest::collection::vec(0..gpus, n_ops)
-        .prop_map(|v| Placement::new(v.into_iter().map(DeviceId).collect()))
+/// A random DAG of 2–39 ops of mixed kinds, each with 0–2 predecessors
+/// among the earlier ops.
+fn random_dag(rng: &mut Rng) -> Graph {
+    let kinds = [
+        OpKind::MatMul,
+        OpKind::Relu,
+        OpKind::Conv2D,
+        OpKind::Add,
+        OpKind::Pool,
+    ];
+    let mut g = Graph::new();
+    let n = 2 + rng.below(38);
+    for i in 0..n {
+        let kind = kinds[rng.below(kinds.len() as u64) as usize];
+        let flops = 1 << (16 + rng.below(12));
+        let elems = 1 << (8 + rng.below(8));
+        let id = g
+            .add_op(Operation::new(format!("o{i}"), kind, [elems]).with_flops(flops))
+            .unwrap();
+        if i > 0 {
+            for _ in 0..rng.below(3) {
+                let _ = g.connect(OpId(rng.below(i) as u32), id);
+            }
+        }
+    }
+    g
 }
 
 fn cfg() -> SimConfig {
@@ -63,6 +76,7 @@ fn cfg() -> SimConfig {
 
 fn check_schedule_invariants(g: &Graph, topo: &Topology, p: &Placement, tr: &RunTrace) {
     // 1. every op executed exactly once with non-negative duration
+    assert_eq!(tr.op_records.len(), g.op_count());
     for r in &tr.op_records {
         assert!(r.start >= 0.0, "{} never ran", r.op);
         assert!(r.end >= r.start);
@@ -110,145 +124,103 @@ fn check_schedule_invariants(g: &Graph, topo: &Topology, p: &Placement, tr: &Run
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn schedule_invariants_hold_under_fifo(g in arb_dag(), gpus in 1u16..5) {
+/// The schedule invariants hold on 1–4 GPUs under FIFO on a single
+/// device, under a topology-order priority (which does the same total
+/// work), and under a random placement (which never loses an op).
+#[test]
+fn schedule_invariants_hold() {
+    let hw = HardwarePerf::new();
+    for seed in SEEDS {
+        let mut rng = Rng::new(seed);
+        let g = random_dag(&mut rng);
+        let gpus = 1 + rng.below(4) as u16;
         let topo = Topology::single_server(gpus);
-        let p = Placement::uniform(g.op_count(), DeviceId(0));
-        let tr = simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &cfg()).unwrap();
-        check_schedule_invariants(&g, &topo, &p, &tr);
-    }
 
-    #[test]
-    fn schedule_invariants_hold_under_random_placements(
-        (g, gpus) in arb_dag().prop_flat_map(|g| (Just(g), 1u16..5)),
-        seed in any::<u64>(),
-    ) {
-        let topo = Topology::single_server(gpus);
-        let n = g.op_count();
-        // derive a placement deterministically from the seed
-        let mut state = seed | 1;
-        let mut devs = Vec::with_capacity(n);
-        for _ in 0..n {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            devs.push(DeviceId((state % gpus as u64) as u16));
-        }
-        let p = Placement::new(devs);
-        let tr = simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &cfg()).unwrap();
-        check_schedule_invariants(&g, &topo, &p, &tr);
-    }
+        let single = Placement::uniform(g.op_count(), DeviceId(0));
+        let fifo = simulate(&g, &topo, &single, &hw, ExecPolicy::Fifo, &cfg()).unwrap();
+        check_schedule_invariants(&g, &topo, &single, &fifo);
 
-    #[test]
-    fn priority_policy_preserves_invariants_and_work(g in arb_dag(), gpus in 1u16..4) {
-        let topo = Topology::single_server(gpus);
-        let p = Placement::uniform(g.op_count(), DeviceId(0));
         let order = g.topo_order().unwrap();
-        let hw = HardwarePerf::new();
-        let fifo = simulate(&g, &topo, &p, &hw, ExecPolicy::Fifo, &cfg()).unwrap();
-        let prio = simulate(&g, &topo, &p, &hw, ExecPolicy::Priority(&order), &cfg()).unwrap();
-        check_schedule_invariants(&g, &topo, &p, &prio);
-        // same total work regardless of policy
-        prop_assert!((fifo.total_compute_time() - prio.total_compute_time()).abs() < 1e-9);
-    }
+        let prio = simulate(
+            &g,
+            &topo,
+            &single,
+            &hw,
+            ExecPolicy::Priority(&order),
+            &cfg(),
+        )
+        .unwrap();
+        check_schedule_invariants(&g, &topo, &single, &prio);
+        assert!(
+            (fifo.total_compute_time() - prio.total_compute_time()).abs() < 1e-9,
+            "seed {seed}: policy changed the total work"
+        );
 
-    #[test]
-    fn simulation_is_deterministic(g in arb_dag(), gpus in 1u16..4) {
-        let topo = Topology::single_server(gpus);
-        let p = Placement::uniform(g.op_count(), DeviceId(0));
-        let hw = HardwarePerf::new();
-        let a = simulate(&g, &topo, &p, &hw, ExecPolicy::Fifo, &cfg()).unwrap();
-        let b = simulate(&g, &topo, &p, &hw, ExecPolicy::Fifo, &cfg()).unwrap();
-        prop_assert_eq!(a.makespan, b.makespan);
-        for (ra, rb) in a.op_records.iter().zip(&b.op_records) {
-            prop_assert_eq!(ra.start, rb.start);
-            prop_assert_eq!(ra.device, rb.device);
-        }
-    }
-
-    #[test]
-    fn spreading_work_never_loses_ops(
-        (g, p, gpus) in (arb_dag(), 2u16..5).prop_flat_map(|(g, gpus)| {
-            let n = g.op_count();
-            (Just(g), arb_placement(n, gpus), Just(gpus))
-        })
-    ) {
-        let topo = Topology::single_server(gpus);
-        let tr = simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &cfg()).unwrap();
-        prop_assert_eq!(tr.op_records.len(), g.op_count());
-        prop_assert!(tr.op_records.iter().all(|r| r.start >= 0.0));
+        let spread = Placement::new(
+            (0..g.op_count())
+                .map(|_| DeviceId(rng.below(u64::from(gpus)) as u16))
+                .collect(),
+        );
+        let tr = simulate(&g, &topo, &spread, &hw, ExecPolicy::Fifo, &cfg()).unwrap();
+        check_schedule_invariants(&g, &topo, &spread, &tr);
     }
 }
 
-/// Any fault schedule must replay bit-identically, and an empty schedule
-/// must be indistinguishable from no schedule at all.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn fault_injection_is_deterministic(
-        g in arb_dag(),
-        gpus in 2u16..5,
-        seed in any::<u64>(),
-        iteration in 0u64..40,
-        factor in 1.5f64..8.0,
-        prob in 0.0f64..1.0,
-        from in 0u64..30,
-    ) {
-        use fastt_sim::{Fault, FaultKind, FaultSchedule};
-        use std::sync::Arc;
+/// Runs replay bit-identically with jitter on, both fault-free and under a
+/// four-fault schedule (straggler, degraded link, transient op failures,
+/// memory pressure) whose window, severity and iteration vary per seed.
+#[test]
+fn simulation_is_deterministic() {
+    for seed in SEEDS {
+        let mut rng = Rng::new(seed);
+        let g = random_dag(&mut rng);
+        let gpus = 2 + rng.below(3) as u16;
         let topo = Topology::single_server(gpus);
         let p = Placement::uniform(g.op_count(), DeviceId(0));
         let (d0, d1) = (DeviceId(0), DeviceId(gpus - 1));
+        let factor = rng.range(1.5, 8.0);
+        let prob = rng.range(0.0, 1.0);
+        let from = rng.below(30);
         let window = |kind| Fault::windowed(kind, from, from + 10);
-        let schedule = Arc::new(FaultSchedule::new(vec![
-            window(FaultKind::Straggler { device: d0, slowdown: factor }),
-            window(FaultKind::LinkDegrade { src: d0, dst: d1, factor }),
+        let four_faults = Arc::new(FaultSchedule::new(vec![
+            window(FaultKind::Straggler {
+                device: d0,
+                slowdown: factor,
+            }),
+            window(FaultKind::LinkDegrade {
+                src: d0,
+                dst: d1,
+                factor,
+            }),
             window(FaultKind::TransientOp { device: d0, prob }),
-            window(FaultKind::MemPressure { device: d1, reserve_bytes: 1 << 30 }),
+            window(FaultKind::MemPressure {
+                device: d1,
+                reserve_bytes: 1 << 30,
+            }),
         ]));
-        let run = || {
+        let c = SimConfig {
+            jitter_pct: 0.05,
+            seed: rng.next(),
+            iteration: rng.below(40),
+            ..cfg()
+        };
+        for faults in [None, Some(four_faults)] {
             let c = SimConfig {
-                jitter_pct: 0.05,
-                seed,
-                iteration,
-                faults: Some(schedule.clone()),
-                ..cfg()
+                faults: faults.clone(),
+                ..c.clone()
             };
-            simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &c)
-        };
-        match (run(), run()) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.makespan, b.makespan);
-                prop_assert_eq!(a.reexecutions, b.reexecutions);
-                for (ra, rb) in a.op_records.iter().zip(&b.op_records) {
-                    prop_assert_eq!(ra.start, rb.start);
-                    prop_assert_eq!(ra.end, rb.end);
+            let run = || simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &c);
+            let ctx = format!("seed {seed}, faults: {}", faults.is_some());
+            match (run(), run()) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.makespan, b.makespan, "{ctx}");
+                    assert_eq!(a.reexecutions, b.reexecutions, "{ctx}");
+                    assert_eq!(a.op_records, b.op_records, "{ctx}");
+                    assert_eq!(a.transfers, b.transfers, "{ctx}");
                 }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{ctx}"),
+                (a, b) => panic!("{ctx}: diverged: {:?} vs {:?}", a.is_ok(), b.is_ok()),
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "diverged: {:?} vs {:?}", a.is_ok(), b.is_ok()),
         }
-    }
-
-    #[test]
-    fn empty_fault_schedule_is_inert(g in arb_dag(), gpus in 1u16..4, seed in any::<u64>()) {
-        use fastt_sim::FaultSchedule;
-        use std::sync::Arc;
-        let topo = Topology::single_server(gpus);
-        let p = Placement::uniform(g.op_count(), DeviceId(0));
-        let base_cfg = SimConfig { jitter_pct: 0.05, seed, ..cfg() };
-        let empty_cfg = SimConfig {
-            faults: Some(Arc::new(FaultSchedule::none())),
-            ..base_cfg.clone()
-        };
-        let plain = simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &base_cfg).unwrap();
-        let empty = simulate(&g, &topo, &p, &HardwarePerf::new(), ExecPolicy::Fifo, &empty_cfg).unwrap();
-        prop_assert_eq!(plain.makespan, empty.makespan);
-        prop_assert_eq!(plain.op_records, empty.op_records);
-        prop_assert_eq!(plain.transfers, empty.transfers);
     }
 }

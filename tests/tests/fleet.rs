@@ -400,6 +400,49 @@ fn fleet_telemetry_labels_jobs_and_feeds_the_admission_slo() {
     assert_eq!(verdicts.len(), 2);
 }
 
+/// The workload `report lenet 2x4 <out> fleet:21` runs — LeNet at its
+/// per-replica batch on 8 GPUs and at half of it, seed 21 — overlaps
+/// jobs, preempts and logs it, samples utilization, serves an admission
+/// from a sibling's cached plan, never deadlocks, and grades the
+/// admission-path `planner.latency.p95` SLO.
+#[test]
+fn report_fleet_workload_meets_its_smoke_claims() {
+    use fastt_telemetry::{Collector, SloGrade};
+
+    let model = Model::LeNet;
+    let big = (model.paper_batch() / 8).max(model.min_batch());
+    let small = (big / 2).max(model.min_batch());
+    let templates: Vec<_> = [big, small]
+        .into_iter()
+        .map(|b| (format!("lenet{b}"), model.training_graph(b)))
+        .collect();
+    let collector = Arc::new(Collector::new());
+    let mut fleet = ClusterManager::new(Topology::multi_server(2, 4), HardwarePerf::new(), 21)
+        .with_collector(collector.clone());
+    for spec in seeded_workload(21, &templates, 8) {
+        fleet.submit(spec);
+    }
+    let report = fleet.run().unwrap();
+
+    assert!(report.max_concurrent >= 2, "{}", report.max_concurrent);
+    assert!(report.preemptions >= 1);
+    assert!(
+        report
+            .event_log()
+            .lines()
+            .any(|l| l.split_whitespace().nth(1) == Some("preempt")),
+        "no preempt line in the event log"
+    );
+    assert!(!report.utilization.is_empty());
+    assert!(report.jobs.iter().any(|j| j.cached_start));
+    assert_eq!(report.deadlocks, 0);
+    let p95 = fastt_telemetry::evaluate_slos(&fastt::default_slos(), collector.metrics())
+        .into_iter()
+        .find(|v| v.slo == "planner.latency.p95")
+        .expect("planner.latency.p95 is a default SLO");
+    assert_ne!(p95.grade, SloGrade::NoData, "{}", p95.render());
+}
+
 /// A fleet job's spec floor is respected: preemption never shrinks a
 /// victim below `min_gpus`.
 #[test]

@@ -117,7 +117,7 @@ fn depth_siblings_share_region_sub_plans() {
 
     let mut ctx4 =
         PlanningContext::new(&g4, &topo, &hw, CostModels::new()).with_region_cache(&cache, 0);
-    HierarchicalPlanner::default().plan(&mut ctx4).unwrap();
+    HierarchicalPlanner.plan(&mut ctx4).unwrap();
     assert!(
         cache.region_misses() > 0,
         "first plan must record region sub-plans"
@@ -126,7 +126,7 @@ fn depth_siblings_share_region_sub_plans() {
 
     let mut ctx6 =
         PlanningContext::new(&g6, &topo, &hw, CostModels::new()).with_region_cache(&cache, 0);
-    HierarchicalPlanner::default().plan(&mut ctx6).unwrap();
+    HierarchicalPlanner.plan(&mut ctx6).unwrap();
     assert!(
         cache.region_hits() > hits_before,
         "depth sibling must be served from region sub-plans \
@@ -155,7 +155,7 @@ fn repeat_plan_reports_memo_hit_and_its_own_decompose_time() {
         let sink = Arc::new(MemorySink::with_default_capacity());
         let col = Arc::new(Collector::new().with_sink(sink.clone()));
         let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new()).with_collector(col);
-        HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+        HierarchicalPlanner.plan(&mut ctx).unwrap();
         let ev = sink
             .events_of("hier.plan")
             .pop()

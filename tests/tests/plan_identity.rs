@@ -466,7 +466,7 @@ fn stack_dp_1x2_hierarchical_plan() {
     let hw = HardwarePerf::new();
     let cost = profiled_costs(&g, &topo);
     let mut ctx = PlanningContext::new(&g, &topo, &hw, cost);
-    let plan = HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+    let plan = HierarchicalPlanner.plan(&mut ctx).unwrap();
     plan.placement.validate(&g, &topo).unwrap();
     let got = (
         plan.est_finish.to_bits(),
