@@ -112,6 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- Activation / rollback timeline ---");
     let mut any = false;
     for e in &events {
+        let by = score_key(e);
         let line = match e.kind.as_str() {
             "session.round" => format!(
                 "round {} starts (measured {:.3} ms, drift {:.3})",
@@ -120,23 +121,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 e.num("drift").unwrap_or(0.0),
             ),
             "session.candidate" => format!(
-                "  candidate [{}] est {:.3} ms vs measured {:.3} ms",
+                "  candidate [{}] {} {:.3} ms vs measured {:.3} ms",
                 e.str_field("kind").unwrap_or("?"),
-                ms(e, "est_finish"),
+                by,
+                ms(e, if by == "est" { "est_finish" } else { by }),
                 ms(e, "measured"),
             ),
             "session.activation" => format!(
-                "  ACTIVATED [{}]: {:.3} -> {:.3} ms (est was {:.3} ms, off by {:+.1}%)",
+                "  ACTIVATED [{}]: {:.3} -> {:.3} ms ({} was {:.3} ms, off by {:+.1}%)",
                 e.str_field("kind").unwrap_or("?"),
                 ms(e, "measured_before"),
                 ms(e, "measured_after"),
-                ms(e, "est"),
-                e.num("est_error").unwrap_or(0.0) * 100.0,
+                by,
+                ms(e, by),
+                e.num(&format!("{by}_error")).unwrap_or(0.0) * 100.0,
             ),
             "session.rollback" => format!(
-                "  ROLLED BACK [{}]: est {:.3} ms but measured {:.3} ms (was {:.3} ms)",
+                "  ROLLED BACK [{}]: {} {:.3} ms but measured {:.3} ms (was {:.3} ms)",
                 e.str_field("kind").unwrap_or("?"),
-                ms(e, "est"),
+                by,
+                ms(e, by),
                 ms(e, "measured_after"),
                 ms(e, "measured_before"),
             ),
@@ -612,6 +616,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// Millisecond rendering of a seconds field (NaN when absent).
 fn ms(e: &Event, field: &str) -> f64 {
     e.num(field).map(|v| v * 1e3).unwrap_or(f64::NAN)
+}
+
+/// What a strategy trial was gated on: `probe` for a candidate scored by
+/// its probe (the ring-DP incumbent step), `est` for the planners' own
+/// estimates.
+fn score_key(e: &Event) -> &'static str {
+    if e.field("probe").is_null() {
+        "est"
+    } else {
+        "probe"
+    }
 }
 
 /// `fleet[:seed]` mode: a multi-tenant run of the seeded arrival workload

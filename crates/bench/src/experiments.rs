@@ -7,7 +7,9 @@ pub mod table1 {
     //! batch stays fixed while GPUs are added. Columns: 1 GPU, then DP vs FastT
     //! for 2/4/8 GPUs and 8 GPUs over two servers; final column is the speedup
     //! of the best FastT entry over the best DP entry (how the paper computes
-    //! its bold speedup column).
+    //! its bold speedup column). Beyond the paper, each setting also shows
+    //! ring all-reduce DP, the strongest DP baseline the repository
+    //! implements; the speedup stays against the paper's (PS) DP.
     #[allow(unused_imports)]
     use crate::*;
     use fastt_cluster::Topology;
@@ -22,12 +24,16 @@ pub mod table1 {
                 "Model(batch)",
                 "1 GPU",
                 "2GPUs DP",
+                "2GPUs ring DP",
                 "2GPUs FastT",
                 "4GPUs DP",
+                "4GPUs ring DP",
                 "4GPUs FastT",
                 "8GPUs DP",
+                "8GPUs ring DP",
                 "8GPUs FastT",
                 "8GPUs(2srv) DP",
+                "8GPUs(2srv) ring DP",
                 "8GPUs(2srv) FastT",
                 "Speedup",
             ],
@@ -39,7 +45,7 @@ pub mod table1 {
 
             // single GPU: DP and FastT coincide (one replica, no choices)
             let topo1 = Topology::single_server(1);
-            let single = run_dp(model, &topo1, global);
+            let single = run_dp(model, &topo1, global, ReplicationMode::ParameterServer);
             row.push(fmt_sps(&single));
 
             let mut best_dp = match &single {
@@ -52,11 +58,19 @@ pub mod table1 {
                 let topo = setting.topology();
                 let n = setting.gpus();
                 let prb = per_replica_batch(model, global, n);
-                let dp = run_dp(model, &topo, prb);
+                let dp = run_dp(model, &topo, prb, ReplicationMode::ParameterServer);
                 if let Ok(m) = &dp {
                     best_dp = best_dp.max(m.samples_per_sec);
                 }
                 row.push(fmt_sps(&dp));
+                // beyond the paper: the ring all-reduce DP the repository
+                // also implements, not counted in the speedup
+                row.push(fmt_sps(&run_dp(
+                    model,
+                    &topo,
+                    prb,
+                    ReplicationMode::AllReduce,
+                )));
                 match run_fastt(model, &topo, prb, prb * n as u64, None) {
                     Ok(ft) => {
                         best_ft = best_ft.max(ft.measurement.samples_per_sec);
@@ -114,7 +128,7 @@ pub mod table2 {
             let mut row = vec![format!("{}({})", model.name(), per_gpu)];
 
             let topo1 = Topology::single_server(1);
-            let single = run_dp(model, &topo1, per_gpu);
+            let single = run_dp(model, &topo1, per_gpu, ReplicationMode::ParameterServer);
             row.push(fmt_sps(&single));
             let mut best_dp = match &single {
                 Ok(m) => m.samples_per_sec,
@@ -125,7 +139,7 @@ pub mod table2 {
             for setting in weak_scaling_settings() {
                 let topo = setting.topology();
                 let n = setting.gpus();
-                let dp = run_dp(model, &topo, per_gpu);
+                let dp = run_dp(model, &topo, per_gpu, ReplicationMode::ParameterServer);
                 if let Ok(m) = &dp {
                     best_dp = best_dp.max(m.samples_per_sec);
                 }
@@ -182,12 +196,12 @@ pub mod table3 {
 
         for batch in [16u64, 32, 40, 48] {
             let topo1 = Topology::single_server(1);
-            let single = run_dp(model, &topo1, batch)
+            let single = run_dp(model, &topo1, batch, ReplicationMode::ParameterServer)
                 .map(|m| m.iter_time)
                 .map_err(|e| e.is_oom());
 
             let topo2 = Topology::single_server(2);
-            let dp = run_dp(model, &topo2, batch / 2)
+            let dp = run_dp(model, &topo2, batch / 2, ReplicationMode::ParameterServer)
                 .map(|m| m.iter_time)
                 .map_err(|e| e.is_oom());
 
@@ -551,7 +565,8 @@ pub mod fig3 {
             for gpus in [2u16, 4, 8] {
                 let topo = Topology::single_server(gpus);
                 let prb = per_replica_batch(model, global, gpus as u32);
-                let dp = run_dp(model, &topo, prb).expect("DP fits");
+                let dp =
+                    run_dp(model, &topo, prb, ReplicationMode::ParameterServer).expect("DP fits");
                 let norm = |iter: f64| dp.iter_time / iter;
 
                 // model-parallel-only searchers on the raw graph at the global

@@ -122,8 +122,10 @@ pub struct Measurement {
     pub samples_per_sec: f64,
 }
 
-/// Runs the DP baseline: per-replica graphs at `per_replica_batch`,
-/// replicated over all GPUs of `topo`, PS placement per model family.
+/// Runs a DP baseline: per-replica graphs at `per_replica_batch`,
+/// replicated over all GPUs of `topo` with gradients aggregated by `mode`
+/// (the paper's DP is [`ReplicationMode::ParameterServer`]), shared
+/// variables placed per model family.
 ///
 /// # Errors
 ///
@@ -133,12 +135,12 @@ pub fn run_dp(
     model: Model,
     topo: &Topology,
     per_replica_batch: u64,
+    mode: ReplicationMode,
 ) -> Result<Measurement, SimError> {
     let n = topo.gpu_count() as u32;
     let graph = model.training_graph(per_replica_batch);
     let groups: Vec<u16> = topo.gpu_ids().map(|d| topo.server_of(d)).collect();
-    let rep = replicate_grouped(&graph, &groups, ReplicationMode::ParameterServer)
-        .expect("model graphs replicate");
+    let rep = replicate_grouped(&graph, &groups, mode).expect("model graphs replicate");
     let plan = match dp_ps_for(model) {
         Some(d) => data_parallel_plan_on(&rep, topo, d),
         None => data_parallel_plan(&rep, topo),
@@ -289,7 +291,7 @@ mod tests {
     #[test]
     fn dp_runs_on_small_model() {
         let topo = Topology::single_server(2);
-        let m = run_dp(Model::LeNet, &topo, 32).unwrap();
+        let m = run_dp(Model::LeNet, &topo, 32, ReplicationMode::ParameterServer).unwrap();
         assert!(m.iter_time > 0.0);
         assert!(m.samples_per_sec > 0.0);
     }
@@ -297,7 +299,7 @@ mod tests {
     #[test]
     fn fastt_beats_or_matches_dp_on_lenet() {
         let topo = Topology::single_server(2);
-        let dp = run_dp(Model::LeNet, &topo, 32).unwrap();
+        let dp = run_dp(Model::LeNet, &topo, 32, ReplicationMode::ParameterServer).unwrap();
         let ft = run_fastt(Model::LeNet, &topo, 32, 64, None).unwrap();
         assert!(
             ft.measurement.iter_time <= dp.iter_time * 1.05,

@@ -96,7 +96,8 @@ pub enum LadderRung {
     Mp,
     /// Parameter-server data parallelism (the funnel).
     PsDp,
-    /// Ring all-reduce data parallelism over the survivors.
+    /// Ring all-reduce data parallelism over the survivors, or adopted by
+    /// pre-training's incumbent step.
     RingDp,
     /// A fresh DPOS/OS-DPOS plan — the top rung.
     Replanned,
@@ -1006,7 +1007,9 @@ impl TrainingSession {
     /// Runs the full pre-training workflow: profile → update cost models →
     /// recompute strategy → activate/rollback (one `replan(Round(n))` per
     /// round) → repeat until the cost models stabilize or `max_rounds` is
-    /// hit.
+    /// hit. A session that started data-parallel then races the ring
+    /// all-reduce DP plan once (`replan(Incumbent)`), trialled only when
+    /// its probe beats the measured time.
     ///
     /// # Errors
     ///
@@ -1049,6 +1052,15 @@ impl TrainingSession {
             if self.cost.is_stable(STABILITY_EPS) && report.rounds >= 2 {
                 break;
             }
+        }
+
+        if self.started_dp {
+            // Pre-training never ends slower than ring all-reduce DP when
+            // a probe can tell: it is raced once as the incumbent.
+            let step = self.replan(Trigger::Incumbent)?;
+            report.strategy_calc_secs += step.calc_secs;
+            report.activations += u32::from(step.adopted);
+            report.rollbacks += step.rollbacks;
         }
 
         report.final_iter_time = self.measured;

@@ -1,18 +1,21 @@
 //! The one re-plan path. Every plan change after construction goes
-//! through [`TrainingSession::replan`]: a pre-training round, the
-//! normal-stage drift re-plan, recovery from lost capacity, and promotion
-//! onto grown capacity. The [`Trigger`] picks the candidate set and one of
-//! three adoption rules:
+//! through [`TrainingSession::replan`]: a pre-training round, the ring-DP
+//! incumbent step that closes pre-training, the normal-stage drift
+//! re-plan, recovery from lost capacity, and promotion onto grown
+//! capacity. The [`Trigger`] picks the candidate set and one of three
+//! adoption rules:
 //!
-//! - `Round` and `Drift`: an estimate-gated measured trial with rollback
+//! - `Round`, `Incumbent` and `Drift`: a gated measured trial with rollback
 //!   (Sec. 4's "activate when the estimate beats the measured time, roll
-//!   back when measurement disagrees");
+//!   back when measurement disagrees"). A candidate with no estimate — the
+//!   ring all-reduce DP plan `Incumbent` races — is gated on its probe;
 //! - `Lost`: the lowest raw probe over the survivors, adopted
 //!   unconditionally (the degradation ladder);
 //! - `Grown`: the lowest per-replica probe, adopted only when it beats the
 //!   incumbent by [`PROMOTE_MARGIN`] (the promotion ladder).
 
 use super::{LadderRung, RecoveryEvent, TrainingSession};
+use crate::dpos::schedule_for_placement;
 use crate::error::FastTError;
 use crate::planner::{
     lowest_score, CandidateOutcome, DataParallelPlanner, HierarchicalPlanner, ModelParallelPlanner,
@@ -36,6 +39,9 @@ const PROMOTE_MARGIN: f64 = 0.02;
 pub(super) enum Trigger {
     /// Pre-training round `n` (1-based).
     Round(u32),
+    /// Pre-training's last rounds are done: race the ring all-reduce DP
+    /// plan, the strongest data-parallel baseline, against the incumbent.
+    Incumbent,
     /// Normal training saw the cost models drift.
     Drift,
     /// Capacity was lost. The reason labels telemetry: `device_failed`,
@@ -115,6 +121,7 @@ impl TrainingSession {
     pub(super) fn replan(&mut self, trigger: Trigger) -> Result<ReplanOutcome, FastTError> {
         match trigger {
             Trigger::Round(_) | Trigger::Drift => self.measured_trial(trigger),
+            Trigger::Incumbent => self.incumbent_trial(),
             Trigger::Lost(reason) => self.recover(reason),
             Trigger::Grown => self.promote(),
         }
@@ -385,56 +392,132 @@ impl TrainingSession {
                 }
             }
             let est = candidate.est_finish;
-            let previous = std::mem::replace(&mut self.current, candidate);
-            let before = self.measured;
-            let after = match self.profile(self.config.profile_iters) {
-                Err(e) if !recoverable(&e) => return Err(e),
-                r => r.ok(),
-            };
-            let fields = trial_fields(
-                round,
-                kind,
-                stage,
-                match after {
-                    Some(m) => jobj! {
-                        "est" => est,
-                        "measured_before" => before,
-                        "measured_after" => m,
-                        "est_error" => (m - est) / est.max(f64::MIN_POSITIVE),
-                    },
-                    None => jobj! {
-                        "est" => est,
-                        "measured_before" => before,
-                        "failed" => true,
-                    },
-                },
-            );
-            match after {
-                Some(m) if m <= before => {
-                    self.measured = m;
-                    if kind == "redeploy" {
-                        self.rung = LadderRung::Replanned;
-                    }
-                    if let Some(col) = &self.collector {
-                        col.metrics().inc("session.activations");
-                    }
-                    self.emit("session.activation", fields);
-                    out.adopted = true;
-                    break;
-                }
-                _ => {
-                    // measured regression, or the plan failed outright
-                    // (e.g. OOM): roll back
-                    self.roll_back_to(previous);
-                    out.rollbacks += 1;
-                    if let Some(col) = &self.collector {
-                        col.metrics().inc("session.rollbacks");
-                    }
-                    self.emit("session.rollback", fields);
-                }
+            if self.trial(candidate, ("est", est), kind, round, stage, &mut out)? {
+                break;
             }
         }
         Ok(out)
+    }
+
+    /// The ring-DP incumbent step that closes pre-training. The DPOS
+    /// estimates the rounds rank by are optimistic, so a session can end
+    /// slower than plain ring all-reduce data parallelism, a plan no round
+    /// proposes. This step plans ring DP through the plan cache and probes
+    /// it FIFO. Only when that probe beats the measured time is the
+    /// plan given its DPOS execution order, kept only if it probes faster
+    /// ([`Self::arbitrate_order`]), and trialled like any round candidate.
+    /// Start strategies do not estimate (`est_finish` is NaN), so the
+    /// FIFO probe is the candidate's score.
+    fn incumbent_trial(&mut self) -> Result<ReplanOutcome, FastTError> {
+        let (kind, stage) = ("ring_dp", "pre_train");
+        let ring = Portfolio::new().with(Box::new(DataParallelPlanner::all_reduce()));
+        let mut c = self
+            .run_portfolio(&ring, Some(self.probe_config()))
+            .candidates
+            .remove(0);
+        let mut out = ReplanOutcome::default();
+        let (Some(probe), Some(mut plan)) = (c.simulated, c.plan.take()) else {
+            return Ok(out);
+        };
+        self.emit(
+            "session.candidate",
+            trial_fields(
+                None,
+                kind,
+                stage,
+                jobj! {
+                    "probe" => probe,
+                    "measured" => self.measured,
+                    "splits" => 0u64,
+                },
+            ),
+        );
+        if probe >= self.measured {
+            return Ok(out);
+        }
+        if self.config.enable_order {
+            let t0 = Instant::now();
+            let s = schedule_for_placement(
+                &plan.graph,
+                self.alloc.topo(),
+                &self.cost,
+                &self.hw,
+                &plan.placement,
+            );
+            out.calc_secs = t0.elapsed().as_secs_f64();
+            plan.order = Some(s.order);
+            self.arbitrate_order(&mut plan);
+        }
+        self.trial(plan, ("probe", probe), kind, None, stage, &mut out)?;
+        Ok(out)
+    }
+
+    /// Deploys `candidate` and profiles it: it is kept when the measured
+    /// time does not regress, and rolled back when it does or the plan
+    /// fails outright. `score` names what the candidate was gated on
+    /// (`est` or `probe`) and its value, as the trial events report it.
+    /// Returns whether the candidate was kept.
+    fn trial(
+        &mut self,
+        candidate: Plan,
+        score: (&'static str, f64),
+        kind: &'static str,
+        round: Option<u32>,
+        stage: &str,
+        out: &mut ReplanOutcome,
+    ) -> Result<bool, FastTError> {
+        let (by, value) = score;
+        let previous = std::mem::replace(&mut self.current, candidate);
+        let before = self.measured;
+        let after = match self.profile(self.config.profile_iters) {
+            Err(e) if !recoverable(&e) => return Err(e),
+            r => r.ok(),
+        };
+        let fields = trial_fields(
+            round,
+            kind,
+            stage,
+            match after {
+                Some(m) => jobj! {
+                    by => value,
+                    "measured_before" => before,
+                    "measured_after" => m,
+                    format!("{by}_error") => (m - value) / value.max(f64::MIN_POSITIVE),
+                },
+                None => jobj! {
+                    by => value,
+                    "measured_before" => before,
+                    "failed" => true,
+                },
+            },
+        );
+        match after {
+            Some(m) if m <= before => {
+                self.measured = m;
+                match kind {
+                    "redeploy" => self.rung = LadderRung::Replanned,
+                    "ring_dp" => self.rung = LadderRung::RingDp,
+                    _ => {}
+                }
+                if let Some(col) = &self.collector {
+                    col.metrics().inc("session.activations");
+                }
+                self.emit("session.activation", fields);
+                out.adopted = true;
+                Ok(true)
+            }
+            _ => {
+                // measured regression, or the plan failed outright
+                // (e.g. OOM): roll back
+                self.roll_back_to(previous);
+                out.rollbacks += 1;
+                if let Some(col) = &self.collector {
+                    col.metrics().inc("session.rollbacks");
+                }
+                self.emit("session.rollback", fields);
+                Ok(false)
+            }
+        }
     }
 
     /// Order enforcement is a lever, not a mandate (Fig. 2): before

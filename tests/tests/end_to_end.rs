@@ -1,12 +1,15 @@
 //! End-to-end integration tests: the full FastT workflow over every
 //! benchmark model on small simulated clusters.
 
-use fastt::{data_parallel_plan, SessionConfig, TrainingSession};
+use std::sync::Arc;
+
+use fastt::{data_parallel_plan, LadderRung, SessionConfig, TrainingSession};
 use fastt_bench_support::small_batch;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::replicate;
 use fastt_models::Model;
 use fastt_sim::{HardwarePerf, SimConfig};
+use fastt_telemetry::{Collector, MemorySink};
 
 /// Small batches per model so the suite stays fast.
 mod fastt_bench_support {
@@ -165,4 +168,64 @@ fn too_large_model_reports_no_feasible_start() {
         }
         other => panic!("expected NoFeasibleStart, got {:?}", other.is_ok()),
     }
+}
+
+/// Runs `pre_train` on `graph` over 1x2 with an in-memory collector.
+fn traced_pre_train(
+    graph: &fastt_graph::Graph,
+) -> (TrainingSession, fastt::PreTrainReport, Arc<MemorySink>) {
+    let mut s = TrainingSession::new(
+        graph,
+        Topology::single_server(2),
+        HardwarePerf::new(),
+        quick(),
+    )
+    .unwrap();
+    let sink = Arc::new(MemorySink::with_default_capacity());
+    s.attach_collector(Arc::new(Collector::new().with_sink(sink.clone())));
+    let report = s.pre_train().unwrap();
+    (s, report, sink)
+}
+
+/// The events of `kind` whose `kind` field is `ring_dp`.
+fn ring_dp_events(sink: &MemorySink, kind: &str) -> Vec<fastt_telemetry::Event> {
+    sink.events_of(kind)
+        .into_iter()
+        .filter(|e| e.str_field("kind") == Some("ring_dp"))
+        .collect()
+}
+
+#[test]
+fn pre_train_ends_on_ring_data_parallelism_when_it_probes_faster() {
+    // RNNLM at batch 8 on 1x2: no round's plan measures faster than ring
+    // all-reduce DP, so the incumbent step that closes pre-training adopts
+    // it and the session ends no slower than the ring plan's probe.
+    let (s, report, sink) = traced_pre_train(&Model::Rnnlm.training_graph(8));
+    let candidates = ring_dp_events(&sink, "session.candidate");
+    assert_eq!(candidates.len(), 1, "one ring-DP candidate per session");
+    let probe = candidates[0].num("probe").unwrap();
+    assert!(probe < candidates[0].num("measured").unwrap());
+    assert_eq!(ring_dp_events(&sink, "session.activation").len(), 1);
+    assert_eq!(s.ladder_rung(), LadderRung::RingDp);
+    assert!(
+        s.measured_iter_time() <= probe,
+        "measured {} vs ring probe {probe}",
+        s.measured_iter_time()
+    );
+    assert_eq!(report.final_iter_time, s.measured_iter_time());
+}
+
+#[test]
+fn model_parallel_start_skips_the_ring_data_parallel_step() {
+    // AlexNet's batch-4096 replicas do not fit on one GPU, so the session
+    // starts model-parallel, and the step, which only data-parallel starts
+    // run, plans nothing.
+    let (s, _, sink) = traced_pre_train(&Model::AlexNet.training_graph(4096));
+    assert!(!s.started_data_parallel());
+    assert!(sink
+        .events_of("planner.candidate")
+        .iter()
+        .all(|e| e.str_field("planner") != Some("data_parallel_allreduce")));
+    assert!(ring_dp_events(&sink, "session.candidate").is_empty());
+    assert_ne!(s.ladder_rung(), LadderRung::RingDp);
 }

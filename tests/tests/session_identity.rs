@@ -88,11 +88,26 @@ fn config(max_rounds: u32, faults: Option<FaultSchedule>) -> SessionConfig {
 /// order hash)` after `pre_train`.
 type PreTrainSig = (u32, u32, u32, u64, u64, u64);
 
+/// Checks the pin, and that pre-training's ring-DP incumbent step ran and
+/// lost: its one candidate probed no faster than the measured time, so it
+/// was never trialled and every decision above is the rounds' own.
 fn check_pre_train(model: Model, batch: u64, topo: Topology, max_rounds: u32, want: PreTrainSig) {
     let g = model.training_graph(batch);
     let mut s =
         TrainingSession::new(&g, topo, HardwarePerf::new(), config(max_rounds, None)).unwrap();
+    let sink = Arc::new(MemorySink::with_default_capacity());
+    s.attach_collector(Arc::new(Collector::new().with_sink(sink.clone())));
     let r = s.pre_train().unwrap();
+    let ring = |kind: &str| {
+        sink.events_of(kind)
+            .into_iter()
+            .filter(|e| e.str_field("kind") == Some("ring_dp"))
+            .collect::<Vec<_>>()
+    };
+    let candidates = ring("session.candidate");
+    assert_eq!(candidates.len(), 1, "{} raced ring DP once", model.name());
+    assert!(candidates[0].num("probe") >= candidates[0].num("measured"));
+    assert!(ring("session.activation").is_empty() && ring("session.rollback").is_empty());
     let got = (
         r.rounds,
         r.activations,
@@ -155,7 +170,9 @@ fn transformer_2x2_pre_train() {
 
 /// `(recovery-log hash, ladder rung, measured_iter_time bits,
 /// sim.iterations, planner.candidates)` after `pre_train` and `iters`
-/// normal iterations of LeNet under a fault schedule.
+/// normal iterations of LeNet under a fault schedule. The work counters
+/// include pre-training's ring-DP incumbent step: one more candidate and
+/// its probe, which loses to the measured time in all three sessions.
 type FaultSig = (u64, &'static str, u64, u64, u64);
 
 /// Runs the pinned fault session and returns its event stream, for the
@@ -205,8 +222,8 @@ fn chaos_recovery() {
             13788468429794968510,
             "replanned",
             4571374308066869766,
-            50,
-            11,
+            51,
+            12,
         ),
     );
     // the crash is recovered through the degradation ladder...
@@ -229,8 +246,8 @@ fn network_chaos_recovery() {
             2874121466831566243,
             "replanned",
             4570469399847067587,
-            42,
-            10,
+            43,
+            11,
         ),
     );
     // the link-health timeline has content
@@ -258,8 +275,8 @@ fn churn_recovery_and_promotion() {
             14936507452986110347,
             "ps_data_parallel",
             4570841181689096559,
-            77,
-            27,
+            78,
+            28,
         ),
     );
     // at least one re-plan over an enlarged survivor set...

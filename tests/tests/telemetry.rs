@@ -49,6 +49,15 @@ fn pre_train_emits_every_lifecycle_kind() {
         report.rollbacks
     );
     assert!(!sink.events_of("session.pre_train_done").is_empty());
+    // the ring-DP incumbent step that closes pre-training races once
+    let ring: Vec<_> = sink
+        .events_of("session.candidate")
+        .into_iter()
+        .filter(|e| e.str_field("kind") == Some("ring_dp"))
+        .collect();
+    assert_eq!(ring.len(), 1, "one ring_dp candidate: {ring:?}");
+    assert_eq!(ring[0].str_field("stage"), Some("pre_train"));
+    assert!(ring[0].num("probe").is_some_and(f64::is_finite));
     assert!(
         !sink.events_of("cost.error").is_empty(),
         "cost models must be scored against fresh traces"
