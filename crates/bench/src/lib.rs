@@ -13,7 +13,7 @@
 #![warn(missing_docs)]
 
 use fastt::{
-    data_parallel_plan, data_parallel_plan_on, PreTrainReport, SessionConfig, TrainingSession,
+    data_parallel_plan, data_parallel_plan_on, Plan, PreTrainReport, SessionConfig, TrainingSession,
 };
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{replicate_grouped, ReplicationMode};
@@ -145,6 +145,21 @@ pub fn run_dp(
         Some(d) => data_parallel_plan_on(&rep, topo, d),
         None => data_parallel_plan(&rep, topo),
     };
+    let iter_time = measure(&plan, topo)?;
+    Ok(Measurement {
+        iter_time,
+        samples_per_sec: (per_replica_batch * n as u64) as f64 / iter_time,
+    })
+}
+
+/// Mean simulated iteration time of `plan` over [`MEASURE_ITERS`] jittered
+/// iterations. Every table cell is measured this way, so two identical
+/// plans read identical times whichever column they sit in.
+///
+/// # Errors
+///
+/// Propagates simulator errors (an `Err(Oom)` is the tables' "OOM").
+pub fn measure(plan: &Plan, topo: &Topology) -> Result<f64, SimError> {
     let mut total = 0.0;
     for it in 0..MEASURE_ITERS {
         let cfg = SimConfig {
@@ -154,17 +169,15 @@ pub fn run_dp(
         };
         total += plan.simulate(topo, &HardwarePerf::new(), &cfg)?.makespan;
     }
-    let iter_time = total / MEASURE_ITERS as f64;
-    Ok(Measurement {
-        iter_time,
-        samples_per_sec: (per_replica_batch * n as u64) as f64 / iter_time,
-    })
+    Ok(total / MEASURE_ITERS as f64)
 }
 
 /// Result of a FastT run: the measurement plus the session artifacts
 /// (consumed by the analysis experiments).
 pub struct FastTRun {
-    /// Speed measurement at the global batch size.
+    /// Speed of the session's final plan at the global batch size, taken by
+    /// [`measure`] like every DP baseline (`report.final_iter_time` keeps
+    /// the session's own profiled number).
     pub measurement: Measurement,
     /// The pre-training report (strategy-calculation time, rollbacks, …).
     pub report: PreTrainReport,
@@ -180,7 +193,8 @@ pub struct FastTRun {
 ///
 /// # Errors
 ///
-/// Returns an error when no start strategy fits in memory.
+/// Returns an error when no start strategy fits in memory, or when the
+/// final plan fails to simulate.
 pub fn run_fastt(
     model: Model,
     topo: &Topology,
@@ -203,7 +217,7 @@ pub fn run_fastt(
         session = TrainingSession::new(&graph, topo.clone(), HardwarePerf::new(), config)?;
     }
     let report = session.pre_train()?;
-    let iter_time = report.final_iter_time;
+    let iter_time = measure(session.current_plan(), session.topology())?;
     Ok(FastTRun {
         measurement: Measurement {
             iter_time,
@@ -310,11 +324,28 @@ mod tests {
     }
 
     #[test]
+    fn fastt_cell_on_a_dp_plan_reads_exactly_the_dp_cell() {
+        // No re-plan rounds on two servers: the session keeps its PS DP
+        // start plan, so both cells measure the same plan the same way.
+        let topo = Topology::multi_server(2, 2);
+        let config = SessionConfig {
+            max_rounds: 0,
+            dp_ps: dp_ps_for(Model::LeNet),
+            ..SessionConfig::default()
+        };
+        let ft = run_fastt(Model::LeNet, &topo, 32, 128, Some(config)).unwrap();
+        assert_eq!(ft.session.ladder_rung(), fastt::LadderRung::PsDp);
+        let dp = run_dp(Model::LeNet, &topo, 32, ReplicationMode::ParameterServer).unwrap();
+        assert_eq!(ft.measurement.iter_time, dp.iter_time);
+        // The session's own profiled number runs under other noise draws.
+        assert_ne!(ft.report.final_iter_time, dp.iter_time);
+    }
+
+    #[test]
     fn ps_family_rule() {
         assert_eq!(dp_ps_for(Model::Vgg19), None);
         assert_eq!(dp_ps_for(Model::BertLarge), Some(DeviceId(0)));
     }
 }
 
-pub mod experiments;
 pub mod perf;

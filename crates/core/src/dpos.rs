@@ -154,7 +154,7 @@ impl<'a> Routes<'a> {
     }
 }
 
-/// Design-choice switches for [`dpos_with`] — used by the ablation benches
+/// Design-choice switches for [`dpos_with`] — used by the `ablations` binary
 /// to quantify each ingredient of Alg. 1 (see DESIGN.md §5).
 #[derive(Debug, Clone, Copy)]
 pub struct DposFlags {

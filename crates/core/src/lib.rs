@@ -53,7 +53,6 @@ mod dpos;
 mod error;
 pub mod fleet;
 mod os_dpos;
-mod pipeline;
 pub mod planner;
 mod profiling;
 mod rank;
@@ -68,12 +67,11 @@ pub use fleet::{
     fleet_slos, seeded_workload, ClusterManager, FleetEvent, FleetReport, JobSpec, JobStats,
 };
 pub use os_dpos::{dpos_plan, os_dpos, OsDposOptions};
-pub use pipeline::pipeline_plan;
 pub use planner::{
     default_slos, region_tree_for, CandidateOutcome, DataParallelPlanner, DposPlanner, Fingerprint,
     FingerprintContext, HierarchicalPlanner, ModelParallelPlanner, OrderOnlyPlanner, OsDposPlanner,
-    PipelinePlanner, PlanCache, Planner, PlannerKind, PlanningContext, Portfolio, PortfolioInputs,
-    PortfolioOutcome, PLANNER_LATENCY_P95_TARGET,
+    PlanCache, Planner, PlannerKind, PlanningContext, Portfolio, PortfolioInputs, PortfolioOutcome,
+    PLANNER_LATENCY_P95_TARGET,
 };
 pub use profiling::bootstrap_cost_models;
 pub use rank::{critical_path, critical_path_placed, upward_ranks};

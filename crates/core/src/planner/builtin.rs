@@ -1,7 +1,7 @@
 //! [`Planner`] implementations for FastT's own algorithms and the classical
-//! baselines: DPOS, OS-DPOS, order-only, data parallelism, model
-//! parallelism, and pipeline parallelism. The five black-box searchers live
-//! next to their algorithms in [`crate::search`].
+//! baselines: DPOS, OS-DPOS, order-only, data parallelism and model
+//! parallelism. The five black-box searchers live next to their algorithms
+//! in [`crate::search`].
 
 use super::{hash_params, Planner, PlannerKind, PlanningContext};
 use crate::error::FastTError;
@@ -219,46 +219,5 @@ impl Planner for ModelParallelPlanner {
             return Err(FastTError::ClusterExhausted);
         }
         Ok(model_parallel_plan(raw, ctx.topo, ctx.hw))
-    }
-}
-
-/// GPipe-style pipeline parallelism over the context's planning graph
-/// (treated as one micro-batch), with a configurable micro-batch count.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelinePlanner {
-    /// Number of micro-batches in flight.
-    pub micro_batches: u32,
-}
-
-impl Default for PipelinePlanner {
-    fn default() -> Self {
-        PipelinePlanner { micro_batches: 4 }
-    }
-}
-
-impl Planner for PipelinePlanner {
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn kind(&self) -> PlannerKind {
-        PlannerKind::Pipeline
-    }
-
-    fn uses_cost_models(&self) -> bool {
-        false
-    }
-
-    fn fingerprint_extra(&self) -> u64 {
-        self.micro_batches as u64
-    }
-
-    fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
-        if self.micro_batches == 0 {
-            return Err(FastTError::InvalidArgument(
-                "pipeline planning needs at least one micro-batch",
-            ));
-        }
-        crate::pipeline::pipeline_plan(ctx.graph, self.micro_batches, ctx.topo, ctx.hw)
     }
 }

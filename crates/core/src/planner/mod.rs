@@ -2,8 +2,8 @@
 //!
 //! Every way FastT can produce a [`Plan`] — the white-box DPOS / OS-DPOS
 //! heuristics (Alg. 1 / Alg. 2), the order-only lever (Fig. 2), the
-//! data-parallel and model-parallel start strategies (Sec. 4), the GPipe
-//! pipeline baseline, and the five Fig.-3 black-box searchers — implements
+//! data-parallel and model-parallel start strategies (Sec. 4), and the five
+//! Fig.-3 black-box searchers — implements
 //! one [`Planner`] trait over one [`PlanningContext`]. On top of that sit:
 //!
 //! * [`Portfolio`] — evaluates a configurable candidate set concurrently
@@ -48,7 +48,6 @@ mod portfolio;
 
 pub use builtin::{
     DataParallelPlanner, DposPlanner, ModelParallelPlanner, OrderOnlyPlanner, OsDposPlanner,
-    PipelinePlanner,
 };
 pub use cache::{Fingerprint, FingerprintContext, PlanCache};
 pub use context::PlanningContext;
@@ -109,8 +108,6 @@ pub enum PlannerKind {
     StartStrategy,
     /// Keep the current deployment, only enforce an execution order.
     OrderOnly,
-    /// Micro-batched pipeline parallelism (GPipe-style baseline).
-    Pipeline,
 }
 
 impl PlannerKind {
@@ -121,7 +118,6 @@ impl PlannerKind {
             PlannerKind::Search => "search",
             PlannerKind::StartStrategy => "start_strategy",
             PlannerKind::OrderOnly => "order_only",
-            PlannerKind::Pipeline => "pipeline",
         }
     }
 }

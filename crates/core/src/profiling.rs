@@ -3,7 +3,7 @@
 //! The [`TrainingSession`](crate::TrainingSession) bootstraps its cost models
 //! by profiling its start strategy. Tools that need cost models for an
 //! arbitrary graph without running the full workflow (the GDP comparator,
-//! benches, analysis scripts) use [`bootstrap_cost_models`]: one profiled
+//! ablations, analysis scripts) use [`bootstrap_cost_models`]: one profiled
 //! run per GPU (covering every op on every device) plus one round-robin run
 //! (covering the communication channels).
 
