@@ -34,9 +34,9 @@
 
 use crate::error::FastTError;
 use crate::planner::PlanCache;
-use crate::session::{SessionConfig, TrainingSession};
+use crate::session::{LadderRung, SessionConfig, TrainingSession};
 use fastt_cluster::{Allocation, AllocationId, DeviceId, Topology};
-use fastt_graph::Graph;
+use fastt_graph::{Graph, ReplicationMode};
 use fastt_sim::seed::{domains as seed_domains, SeedStream};
 use fastt_sim::HardwarePerf;
 use fastt_telemetry::{jobj, Collector, Slo};
@@ -90,9 +90,13 @@ pub enum FleetEvent {
         devices: Vec<DeviceId>,
         /// Ticks spent queued before admission.
         wait: u64,
-        /// Whether the admission portfolio was served from the shared
-        /// plan cache (a sibling already planned this model + shape).
+        /// Whether every admission plan was served from the shared plan
+        /// cache (a sibling already planned this model + shape), so no
+        /// planner ran.
         cached: bool,
+        /// The start plan's rung: the faster data-parallel mode, or model
+        /// parallelism when neither mode fits.
+        start: LadderRung,
     },
     /// A job could not be admitted and was dropped.
     Rejected {
@@ -179,9 +183,11 @@ impl FleetEvent {
                 devices,
                 wait,
                 cached,
+                start,
             } => format!(
-                "t={t:03} admit   job={job} gpus={} wait={wait} cached={cached}",
-                render_devices(devices)
+                "t={t:03} admit   job={job} gpus={} wait={wait} cached={cached} start={}",
+                render_devices(devices),
+                start.label()
             ),
             FleetEvent::Rejected { t, job, reason } => {
                 format!("t={t:03} reject  job={job} reason={reason}")
@@ -317,6 +323,13 @@ impl Job {
     }
 }
 
+/// The data-parallel modes a multi-GPU admission races, ties to the first:
+/// the parameter-server funnel (the paper's start) and ring all-reduce. A
+/// fleet job is deployed as admitted and never pre-trains, so the faster
+/// mode is what it trains on.
+const ADMISSION_DP_MODES: [ReplicationMode; 2] =
+    [ReplicationMode::ParameterServer, ReplicationMode::AllReduce];
+
 /// FNV-1a over the job name: a stable nonzero per-job cache salt so jobs
 /// sharing one [`PlanCache`] never serve each other plans computed from
 /// their independently fitted cost models (generation-0 plans stay
@@ -441,6 +454,7 @@ impl ClusterManager {
                     devices,
                     wait,
                     cached,
+                    start,
                 } => (
                     "fleet.admit",
                     jobj! {
@@ -449,6 +463,7 @@ impl ClusterManager {
                         "gpus" => devices.len() as u64,
                         "wait" => *wait,
                         "cached" => *cached,
+                        "start" => start.label(),
                     },
                 ),
                 FleetEvent::Rejected { t, job, reason } => (
@@ -534,7 +549,6 @@ impl ClusterManager {
         let alloc = Allocation::new(AllocationId(self.next_alloc), &self.shared, devices);
         let config = SessionConfig {
             profile_iters: 1,
-            max_rounds: 2,
             seed: SeedStream::new(self.seed).indexed(index as u64),
             cache_salt: job_cache_salt(&spec.name),
             ..SessionConfig::default()
@@ -543,18 +557,29 @@ impl ClusterManager {
             .collector
             .as_ref()
             .map(|c| Arc::new(c.labeled("job", spec.name.as_str())));
-        let hits_before = self.cache.hits();
-        let session = TrainingSession::with_allocation(
+        // One GPU aggregates no gradients: both modes keep the whole model
+        // on it, so the ring only ties or trails the PS plan there.
+        let dp_modes = if devices.len() > 1 {
+            &ADMISSION_DP_MODES[..]
+        } else {
+            &ADMISSION_DP_MODES[..1]
+        };
+        let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
+        let session = TrainingSession::with_start_modes(
             &spec.graph,
             alloc,
             self.hw.clone(),
             config,
             self.cache.clone(),
             job_collector,
+            dp_modes,
         )
         .map_err(|e| e.to_string())?;
         self.next_alloc += 1;
-        let cached = self.cache.hits() > hits_before;
+        // A pure cache hit: every admission plan was served by the cache,
+        // so no planner ran.
+        let cached = self.cache.hits() > hits_before && self.cache.misses() == misses_before;
+        let start = session.ladder_rung();
         let wait = t.saturating_sub(spec.arrival);
         if let Some(col) = &self.collector {
             col.metrics().observe("fleet.queue_wait", wait as f64);
@@ -569,6 +594,7 @@ impl ClusterManager {
             devices: devices.to_vec(),
             wait,
             cached,
+            start,
         });
         self.running.push(Job {
             spec,

@@ -27,13 +27,14 @@ mod replan;
 
 use crate::error::FastTError;
 use crate::planner::{
-    DataParallelPlanner, DposPlanner, HierarchicalPlanner, ModelParallelPlanner, OsDposPlanner,
-    PlanCache, Planner, Portfolio, PortfolioInputs, PortfolioOutcome,
+    lowest_score, CandidateOutcome, DataParallelPlanner, DposPlanner, HierarchicalPlanner,
+    ModelParallelPlanner, OsDposPlanner, PlanCache, Planner, Portfolio, PortfolioInputs,
+    PortfolioOutcome,
 };
 use crate::strategy::Plan;
 use fastt_cluster::{Allocation, DeviceHealth, DeviceId, HealthMap, Topology};
 use fastt_cost::CostModels;
-use fastt_graph::Graph;
+use fastt_graph::{Graph, ReplicationMode};
 use fastt_sim::{FaultSchedule, HardwarePerf, RunTrace, SimConfig, SimError};
 use fastt_telemetry::{jobj, Collector, Value};
 use replan::Trigger;
@@ -124,6 +125,28 @@ impl LadderRung {
             LadderRung::Replanned => "replanned",
         }
     }
+}
+
+/// Plans and probes data parallelism in each of `modes` through one
+/// portfolio and the plan cache, returning every outcome in `modes` order
+/// with the ladder rung it lands on. Session start and the survivor
+/// ladder's first stage share this step, so both see the same plans.
+fn probe_data_parallel(
+    inputs: &PortfolioInputs<'_>,
+    cache: &PlanCache,
+    modes: &[ReplicationMode],
+) -> Vec<(LadderRung, CandidateOutcome)> {
+    let mut portfolio = Portfolio::new();
+    for &mode in modes {
+        portfolio.push(Box::new(DataParallelPlanner { mode }));
+    }
+    let rungs = modes.iter().map(|&mode| match mode {
+        ReplicationMode::AllReduce => LadderRung::RingDp,
+        _ => LadderRung::PsDp,
+    });
+    rungs
+        .zip(portfolio.evaluate(inputs, Some(cache)).candidates)
+        .collect()
 }
 
 /// One entry in the session's recovery log: a pure record of every
@@ -373,12 +396,12 @@ impl TrainingSession {
     /// slice, and memoizes plans in `cache`, which a fleet manager shares
     /// across jobs (an admission whose model + allocation shape was
     /// already planned by a sibling is an instant cache hit). The start is
-    /// first-feasible: data parallelism is planned and probed alone, and
-    /// only when its replicas do not fit in memory are model parallelism
-    /// and the hierarchical fallback planned, together. A collector passed
-    /// here traces the admission portfolios themselves (`planner.*` events
-    /// and the `planner.latency` series), which a collector attached after
-    /// construction cannot.
+    /// first-feasible: parameter-server data parallelism is planned and
+    /// probed alone, and only when its replicas do not fit in memory are
+    /// model parallelism and the hierarchical fallback planned, together.
+    /// A collector passed here traces the admission portfolios themselves
+    /// (`planner.*` events and the `planner.latency` series), which a
+    /// collector attached after construction cannot.
     ///
     /// # Errors
     ///
@@ -392,12 +415,42 @@ impl TrainingSession {
         cache: Arc<PlanCache>,
         collector: Option<Arc<Collector>>,
     ) -> Result<Self, FastTError> {
+        Self::with_start_modes(
+            training_graph,
+            alloc,
+            hw,
+            config,
+            cache,
+            collector,
+            &[ReplicationMode::ParameterServer],
+        )
+    }
+
+    /// [`TrainingSession::with_allocation`] with the data-parallel start
+    /// raced over `dp_modes`: each mode is planned through the cache and
+    /// probed, and the start is the lowest probe, ties going to the
+    /// earlier mode. Data parallelism is feasible when any mode fits.
+    ///
+    /// A session that pre-trains keeps the parameter-server start alone:
+    /// its start plan is the profiling baseline the cost models are
+    /// fitted from, and racing the ring there slowed every measured
+    /// session workload. A fleet job is deployed as admitted and never
+    /// pre-trains, so its admission races both modes.
+    pub(crate) fn with_start_modes(
+        training_graph: &Graph,
+        alloc: Allocation,
+        hw: HardwarePerf,
+        config: SessionConfig,
+        cache: Arc<PlanCache>,
+        collector: Option<Arc<Collector>>,
+        dp_modes: &[ReplicationMode],
+    ) -> Result<Self, FastTError> {
         // Selection is *first-feasible*, as in the paper: data parallelism
         // is planned and probed alone, and the session starts data-parallel
-        // whenever the replicated model fits. Bind the communication model
-        // to the slice up front: per-link-class fits composed along
-        // physical routes, with link-spec priors so that never-profiled
-        // links cost something pessimistic instead of zero.
+        // whenever the replicated model fits in one of `dp_modes`. Bind the
+        // communication model to the slice up front: per-link-class fits
+        // composed along physical routes, with link-spec priors so that
+        // never-profiled links cost something pessimistic instead of zero.
         let mut cost = CostModels::new();
         cost.bind_topology(alloc.topo());
         let inputs = PortfolioInputs {
@@ -413,22 +466,21 @@ impl TrainingSession {
             cache_salt: config.cache_salt,
             probe: Some(SimConfig::default()),
         };
-        let mut dp_out = Portfolio::new()
-            .with(Box::new(DataParallelPlanner::default()))
-            .evaluate(&inputs, Some(&cache))
-            .candidates
-            .remove(0);
-        let (start, started_dp) = if dp_out.simulated.is_some() {
-            (dp_out.plan.take().expect("probed plan"), true)
+        let mut dp = probe_data_parallel(&inputs, &cache, dp_modes);
+        let best = lowest_score(dp.iter().map(|(_, c)| c.simulated));
+        let (start, rung) = if let Some(i) = best {
+            let (rung, mut c) = dp.swap_remove(i);
+            (c.plan.take().expect("probed plan"), rung)
         } else {
-            // DP infeasible: only an OOM (the replicated model not fitting
-            // in device memory) falls back; any other failure propagates.
+            // DP infeasible: only an OOM of the preferred mode (the
+            // replicated model not fitting in device memory) falls back;
+            // any other failure propagates.
             // The fallbacks are planned together only now: model
             // parallelism first, and when its probe also fails, a feasible
             // hierarchical plan as the last resort — its region-granular
             // packing can fit models the layer-cut heuristic cannot — which
             // counts as a non-DP start for ladder purposes.
-            match dp_out.error.take() {
+            match dp[0].1.error.take() {
                 Some(FastTError::Sim(dp_err @ SimError::Oom { .. })) => {
                     let mut fallbacks = Portfolio::new()
                         .with(Box::new(ModelParallelPlanner))
@@ -438,9 +490,9 @@ impl TrainingSession {
                     let mut hier_out = fallbacks.pop().expect("portfolio of two");
                     let mut mp_out = fallbacks.pop().expect("portfolio of two");
                     if mp_out.simulated.is_some() {
-                        (mp_out.plan.take().expect("probed plan"), false)
+                        (mp_out.plan.take().expect("probed plan"), LadderRung::Mp)
                     } else if hier_out.simulated.is_some() {
-                        (hier_out.plan.take().expect("probed plan"), false)
+                        (hier_out.plan.take().expect("probed plan"), LadderRung::Mp)
                     } else {
                         return Err(match mp_out.error.take() {
                             Some(FastTError::Sim(mp_err)) => FastTError::NoFeasibleStart {
@@ -456,6 +508,7 @@ impl TrainingSession {
                 None => return Err(FastTError::ClusterExhausted),
             }
         };
+        let started_dp = rung != LadderRung::Mp;
         // Sec. 5.2's input-graph rule: strategies are computed from the
         // replica graph when DP fits, else from the raw training graph —
         // both are exactly the winning start plan's graph.
@@ -465,11 +518,6 @@ impl TrainingSession {
             .as_ref()
             .map(|f| vec![false; f.lifecycle().len()])
             .unwrap_or_default();
-        let rung = if started_dp {
-            LadderRung::PsDp
-        } else {
-            LadderRung::Mp
-        };
         let mut session = TrainingSession {
             base_graph,
             training_graph: training_graph.clone(),
@@ -603,7 +651,12 @@ impl TrainingSession {
     /// graph, current plan, live topology view, cost models, collector)
     /// through the session's shared [`PlanCache`].
     fn run_portfolio(&self, portfolio: &Portfolio, probe: Option<SimConfig>) -> PortfolioOutcome {
-        let inputs = PortfolioInputs {
+        portfolio.evaluate(&self.portfolio_inputs(probe), Some(&self.cache))
+    }
+
+    /// The session's state as portfolio inputs.
+    fn portfolio_inputs(&self, probe: Option<SimConfig>) -> PortfolioInputs<'_> {
+        PortfolioInputs {
             graph: &self.base_graph,
             raw: Some(&self.training_graph),
             current: Some(&self.current),
@@ -615,8 +668,7 @@ impl TrainingSession {
             dp_ps: self.config.dp_ps,
             cache_salt: self.config.cache_salt,
             probe,
-        };
-        portfolio.evaluate(&inputs, Some(&self.cache))
+        }
     }
 
     /// Adopts the cost-model clone mutated by the portfolio's *main*

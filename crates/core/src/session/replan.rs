@@ -14,7 +14,7 @@
 //! - `Grown`: the lowest per-replica probe, adopted only when it beats the
 //!   incumbent by [`PROMOTE_MARGIN`] (the promotion ladder).
 
-use super::{LadderRung, RecoveryEvent, TrainingSession};
+use super::{probe_data_parallel, LadderRung, RecoveryEvent, TrainingSession};
 use crate::dpos::schedule_for_placement;
 use crate::error::FastTError;
 use crate::planner::{
@@ -22,6 +22,7 @@ use crate::planner::{
     OrderOnlyPlanner, OsDposPlanner, PlannerKind, Portfolio,
 };
 use crate::strategy::Plan;
+use fastt_graph::ReplicationMode;
 use fastt_sim::{SimConfig, SimError};
 use fastt_telemetry::{jobj, Value};
 use std::time::Instant;
@@ -588,17 +589,15 @@ impl TrainingSession {
         &mut self,
         probe: SimConfig,
     ) -> (Vec<(LadderRung, CandidateOutcome)>, Option<FastTError>) {
-        let dp_portfolio = Portfolio::new()
-            .with(Box::new(DataParallelPlanner::all_reduce()))
-            .with(Box::new(DataParallelPlanner::default()));
-        let mut dp_outcome = self.run_portfolio(&dp_portfolio, Some(probe.clone()));
-        let ps_out = dp_outcome.candidates.pop().expect("portfolio of two");
-        let ar_out = dp_outcome.candidates.pop().expect("portfolio of two");
-        let dp_ok = ar_out.simulated.is_some() || ps_out.simulated.is_some();
-        self.base_graph = [&ar_out, &ps_out]
-            .iter()
-            .find(|c| c.simulated.is_some())
-            .and_then(|c| c.plan.as_ref())
+        let dp = probe_data_parallel(
+            &self.portfolio_inputs(Some(probe.clone())),
+            &self.cache,
+            &[ReplicationMode::AllReduce, ReplicationMode::ParameterServer],
+        );
+        let feasible = dp.iter().find(|(_, c)| c.simulated.is_some());
+        let dp_ok = feasible.is_some();
+        self.base_graph = feasible
+            .and_then(|(_, c)| c.plan.as_ref())
             .map(|p| p.graph.clone())
             .unwrap_or_else(|| self.training_graph.clone());
 
@@ -619,11 +618,8 @@ impl TrainingSession {
         let mut outcome = self.run_portfolio(&portfolio, Some(probe));
         self.adopt_candidate_cost(&mut outcome);
         let mut rest = outcome.candidates.into_iter();
-        let mut ladder = vec![
-            (LadderRung::Replanned, rest.next().expect("main candidate")),
-            (LadderRung::RingDp, ar_out),
-            (LadderRung::PsDp, ps_out),
-        ];
+        let mut ladder = vec![(LadderRung::Replanned, rest.next().expect("main candidate"))];
+        ladder.extend(dp);
         if hierarchical {
             let hier = rest.next().expect("hierarchical candidate");
             ladder.push((LadderRung::Replanned, hier));

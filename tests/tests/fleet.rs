@@ -4,7 +4,7 @@
 //! with a valid plan on disjoint devices.
 
 use fastt::fleet::{seeded_workload, ClusterManager, FleetEvent, JobSpec};
-use fastt::{SessionConfig, TrainingSession};
+use fastt::{LadderRung, SessionConfig, TrainingSession};
 use fastt_cluster::{Allocation, AllocationId, DeviceId, Topology};
 use fastt_models::Model;
 use fastt_sim::HardwarePerf;
@@ -490,4 +490,216 @@ fn preemption_respects_min_gpu_floors() {
         "protected job lost {protected_losses} GPUs, floor allows at most 1"
     );
     assert_eq!(report.jobs.len(), 2, "both jobs still depart");
+}
+
+/// A fleet of `jobs` on `topo`, traced into a memory sink.
+fn traced_fleet(
+    topo: Topology,
+    jobs: Vec<JobSpec>,
+) -> (fastt::FleetReport, Vec<fastt_telemetry::Event>) {
+    use fastt_telemetry::{Collector, MemorySink};
+
+    let sink = Arc::new(MemorySink::new(65536));
+    let collector = Arc::new(Collector::new().with_sink(sink.clone()));
+    let mut fleet = ClusterManager::new(topo, HardwarePerf::new(), 7).with_collector(collector);
+    for spec in jobs {
+        fleet.submit(spec);
+    }
+    (fleet.run().unwrap(), sink.events())
+}
+
+fn job(name: &str, graph: fastt_graph::Graph, arrival: u64, iters: u64, gpus: usize) -> JobSpec {
+    JobSpec {
+        name: name.into(),
+        graph,
+        arrival,
+        iters,
+        gpus,
+        min_gpus: gpus,
+        priority: 1,
+        deadline: None,
+    }
+}
+
+/// The rung `job` was admitted on.
+fn admitted_on(report: &fastt::FleetReport, job: &str) -> LadderRung {
+    report
+        .events
+        .iter()
+        .find_map(|e| match e {
+            FleetEvent::Admitted { job: j, start, .. } if j == job => Some(*start),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{job} was not admitted"))
+}
+
+/// `(cache event, planner)` for every plan-cache lookup `job`'s admission
+/// made: the job's `planner.cache_*` events before its `fleet.admit`.
+fn admission_lookups(events: &[fastt_telemetry::Event], job: &str) -> Vec<(String, String)> {
+    let of_job = |e: &&fastt_telemetry::Event| e.field("job").as_str() == Some(job);
+    events
+        .iter()
+        .filter(of_job)
+        .take_while(|e| e.kind != "fleet.admit")
+        .filter(|e| e.kind.starts_with("planner.cache_"))
+        .map(|e| {
+            let planner = e.field("planner").as_str().unwrap_or_default();
+            (e.kind.clone(), planner.to_string())
+        })
+        .collect()
+}
+
+/// On one server the ring all-reduce beats the parameter-server funnel on
+/// the host, so a fleet admission deploys the ring: the admitted job
+/// trains on a plan whose iterations run an all-reduce collective.
+#[test]
+fn fleet_admission_starts_a_one_server_cnn_on_ring_all_reduce() {
+    let (report, events) = traced_fleet(
+        Topology::multi_server(1, 4),
+        vec![job("lenet", Model::LeNet.training_graph(64), 0, 2, 4)],
+    );
+    assert_eq!(admitted_on(&report, "lenet"), LadderRung::RingDp);
+    assert!(report
+        .event_log()
+        .contains("admit   job=lenet gpus=gpu:0+gpu:1+gpu:2+gpu:3 wait=0 cached=false start=ring_data_parallel"));
+    let iterations: Vec<u64> = events
+        .iter()
+        .filter(|e| e.kind == "sim.iteration" && e.field("job").as_str() == Some("lenet"))
+        .map(|e| e.field("collectives").as_u64().unwrap())
+        .collect();
+    assert!(!iterations.is_empty(), "the job never ran");
+    assert!(
+        iterations.iter().all(|&c| c > 0),
+        "every iteration runs the all-reduce: {iterations:?}"
+    );
+}
+
+/// Across two servers the ring's cross-server phases cost GNMT more than
+/// the host-side funnel, so its admission keeps the parameter server.
+#[test]
+fn fleet_admission_keeps_the_parameter_server_where_it_probes_faster() {
+    let (report, _) = traced_fleet(
+        Topology::multi_server(2, 2),
+        vec![job("gnmt", Model::Gnmt4.training_graph(32), 0, 1, 4)],
+    );
+    assert_eq!(admitted_on(&report, "gnmt"), LadderRung::PsDp);
+}
+
+/// Only the fleet races the data-parallel modes: a session that
+/// pre-trains keeps the parameter-server start, the profiling baseline
+/// its cost models are fitted from, even where the fleet admits the same
+/// model on the ring.
+#[test]
+fn sessions_keep_the_parameter_server_start() {
+    let graph = Model::LeNet.training_graph(64);
+    let topo = Topology::multi_server(1, 4);
+    let no_collective = |s: &TrainingSession| {
+        let g = &s.current_plan().graph;
+        g.op_ids().all(|id| g.op_ref(id).collective.is_none())
+    };
+    let s = TrainingSession::new(
+        &graph,
+        topo.clone(),
+        HardwarePerf::new(),
+        SessionConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(s.ladder_rung(), LadderRung::PsDp);
+    assert!(no_collective(&s));
+    let alloc = Allocation::new(
+        AllocationId(0),
+        &topo,
+        &[DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(3)],
+    );
+    let s = TrainingSession::with_allocation(
+        &graph,
+        alloc,
+        HardwarePerf::new(),
+        SessionConfig::default(),
+        Arc::new(fastt::PlanCache::default()),
+        None,
+    )
+    .unwrap();
+    assert_eq!(s.ladder_rung(), LadderRung::PsDp);
+    assert!(no_collective(&s));
+}
+
+/// A twin fleet admission stays a pure cache hit with both data-parallel
+/// modes raced: the sibling's admission planned both, so the twin's
+/// looks both up and plans neither.
+#[test]
+fn twin_fleet_admission_hits_the_cache_for_both_modes() {
+    let graph = Model::LeNet.training_graph(32);
+    let (report, events) = traced_fleet(
+        Topology::multi_server(1, 4),
+        vec![
+            job("twin-a", graph.clone(), 0, 4, 2),
+            job("twin-b", graph, 1, 2, 2),
+        ],
+    );
+    let cached: Vec<bool> = report
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            FleetEvent::Admitted { cached, .. } => Some(*cached),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cached, [false, true]);
+    let misses = |job| {
+        let mut planners: Vec<String> = admission_lookups(&events, job)
+            .into_iter()
+            .filter(|(kind, _)| kind == "planner.cache_miss")
+            .map(|(_, p)| p)
+            .collect();
+        planners.sort();
+        planners
+    };
+    assert_eq!(
+        misses("twin-a"),
+        ["data_parallel", "data_parallel_allreduce"]
+    );
+    let twin = admission_lookups(&events, "twin-b");
+    assert_eq!(
+        twin,
+        [
+            ("planner.cache_hit".to_string(), "data_parallel".to_string()),
+            (
+                "planner.cache_hit".to_string(),
+                "data_parallel_allreduce".to_string()
+            ),
+        ],
+        "the twin admission plans nothing"
+    );
+}
+
+/// When the parameter server does not fit (here: a host too small for
+/// the shared variables) but the ring does, data parallelism is still
+/// feasible: the job starts on the ring, and neither model parallelism
+/// nor the hierarchical fallback is planned.
+#[test]
+fn fleet_admission_starts_ring_when_only_the_ring_fits() {
+    use fastt_cluster::{Device, Link, TopologyBuilder};
+
+    let mut b = TopologyBuilder::new();
+    for g in 0..4 {
+        b.add_device(Device::v100(format!("srv0/gpu{g}")), 0);
+    }
+    b.add_device(Device::host("srv0/cpu").with_mem_bytes(1 << 10), 0);
+    b.connect_intra_server(Link::nvlink());
+    b.connect_host_pcie(Link::pcie());
+    let (report, events) = traced_fleet(
+        b.build(),
+        vec![job("lenet", Model::LeNet.training_graph(64), 0, 1, 4)],
+    );
+    assert_eq!(admitted_on(&report, "lenet"), LadderRung::RingDp);
+    let planners: BTreeSet<String> = admission_lookups(&events, "lenet")
+        .into_iter()
+        .map(|(_, p)| p)
+        .collect();
+    assert_eq!(
+        planners,
+        BTreeSet::from(["data_parallel".into(), "data_parallel_allreduce".into()]),
+        "no fallback is planned while a data-parallel mode fits"
+    );
 }

@@ -346,7 +346,7 @@ fn seeded_fleet_event_log() {
     let log = fleet.run().unwrap().event_log();
     assert_eq!(
         fnv(log.as_bytes()),
-        15123818589548581453,
+        13550257718724455374,
         "fleet decisions moved:\n{log}"
     );
 }
@@ -472,7 +472,7 @@ fn paper_template_fleet_event_log() {
     let log = fleet.run().unwrap().event_log();
     assert_eq!(
         fnv(log.as_bytes()),
-        5221278773056492099,
+        14470471035103837158,
         "fleet decisions moved:\n{log}"
     );
 }
