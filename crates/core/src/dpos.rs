@@ -14,7 +14,7 @@ use fastt_cost::{CommCostModel, CostModels, OpTimes, ResolvedPair};
 use fastt_graph::{Graph, OpId};
 use fastt_sim::{HardwarePerf, Placement};
 use fastt_telemetry::{jobj, Collector, Value};
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
 
 /// The output of one DPOS run: placement, execution order, and the
 /// estimated schedule.
@@ -77,9 +77,9 @@ fn select_cp_device(
 }
 
 /// The `(src, dst)` routes of one DPOS run, each resolved on first use:
-/// every hop as a dense channel index and a price resolved once per
-/// physical hop, so probing a transfer walks a slice — no route is built,
-/// no channel key hashed and no cost-model line looked up per probe. Lazy,
+/// every hop as its [`Topology::channel`] index and a price resolved once
+/// per physical hop, so probing a transfer walks a slice — no route is
+/// built and no cost-model line looked up per probe. Lazy,
 /// because a run on a small subgraph (a hierarchical region) touches only
 /// a few of the device pairs.
 struct Routes<'a> {
@@ -88,9 +88,6 @@ struct Routes<'a> {
     n_dev: usize,
     /// Per `src * n_dev + dst`: the route's hops as (channel, from, to).
     routes: Vec<OnceCell<Vec<(u32, DeviceId, DeviceId)>>>,
-    /// Channel keys (`Topology::channel_key`) in order of first use; a
-    /// hop's channel index is its key's position.
-    keys: RefCell<Vec<(u32, u32)>>,
     /// Per physical hop `from * n_dev + to`.
     prices: Vec<OnceCell<HopPrice>>,
 }
@@ -107,7 +104,6 @@ impl<'a> Routes<'a> {
             comm,
             n_dev,
             routes: (0..n_dev * n_dev).map(|_| OnceCell::new()).collect(),
-            keys: RefCell::new(Vec::new()),
             prices: (0..n_dev * n_dev).map(|_| OnceCell::new()).collect(),
         }
     }
@@ -115,18 +111,10 @@ impl<'a> Routes<'a> {
     /// The `(channel, from, to)` hops of the `src → dst` route.
     fn route(&self, src: DeviceId, dst: DeviceId) -> &[(u32, DeviceId, DeviceId)] {
         self.routes[src.index() * self.n_dev + dst.index()].get_or_init(|| {
-            let mut keys = self.keys.borrow_mut();
             self.topo
                 .route(src, dst)
                 .into_iter()
-                .map(|(a, b)| {
-                    let key = self.topo.channel_key(a, b);
-                    let chan = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
-                        keys.push(key);
-                        keys.len() - 1
-                    });
-                    (chan as u32, a, b)
-                })
+                .map(|(a, b)| (self.topo.channel(a, b) as u32, a, b))
                 .collect()
         })
     }
@@ -342,8 +330,7 @@ fn dpos_impl(
     // arrivals are dense: `chan` by channel index, `xfer_done` by
     // `producer * n_dev + destination`.
     let routes = Routes::new(topo, &cost.comm);
-    // every channel is first used by some directed device pair
-    let mut chan: Vec<DeviceTimeline> = vec![DeviceTimeline::new(); n_dev * n_dev];
+    let mut chan: Vec<DeviceTimeline> = vec![DeviceTimeline::new(); topo.channel_count()];
     let mut xfer_done: Vec<Option<f64>> = vec![None; n * n_dev];
 
     // Collective duration as the simulator will run it: ring all-reduce over

@@ -79,4 +79,3 @@ pub use session::{
     LadderRung, PreTrainReport, RecoveryEvent, SessionConfig, TrainingSession, DEGRADED_SLOWDOWN,
 };
 pub use strategy::{data_parallel_plan, data_parallel_plan_on, model_parallel_plan, Plan};
-pub use timeline::DeviceTimeline;

@@ -26,6 +26,7 @@ use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
 use fastt_graph::Graph;
+use fastt_sim::seed::splitmix64;
 use fastt_sim::Placement;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -101,7 +102,7 @@ impl Fingerprint {
             _ => graph.structure_hash(),
         };
         let uses_cost = planner.uses_cost_models();
-        let mut context = mix(0xC0DE ^ ctx.enable_order as u64);
+        let mut context = splitmix64(0xC0DE ^ ctx.enable_order as u64);
         // the PS device in canonical coordinates: slot + 1, 0 when unset
         // or dead (planners ignore a dead PS, so the plan is PS-free)
         let ps_slot = match ctx.dp_ps {
@@ -112,9 +113,9 @@ impl Fingerprint {
                 .map_or(0, |i| i as u64 + 1),
             _ => 0,
         };
-        context ^= mix(0xD9_0000 ^ ps_slot);
+        context ^= splitmix64(0xD9_0000 ^ ps_slot);
         if uses_cost && cost.generation() > 0 {
-            context ^= mix(ctx.cache_salt);
+            context ^= splitmix64(ctx.cache_salt);
         }
         Fingerprint {
             graph_hash,
@@ -126,14 +127,6 @@ impl Fingerprint {
             region_hash: 0,
         }
     }
-}
-
-/// splitmix64-style mixer for context components.
-pub(crate) fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug, Default)]

@@ -104,12 +104,6 @@ impl<'a> PlanningContext<'a> {
         self
     }
 
-    /// Enables or disables order enforcement.
-    pub fn with_order(mut self, enable: bool) -> Self {
-        self.enable_order = enable;
-        self
-    }
-
     /// Pins the data-parallel parameter server.
     pub fn with_dp_ps(mut self, ps: Option<DeviceId>) -> Self {
         self.dp_ps = ps;

@@ -35,6 +35,7 @@ use crate::planner::cache::Fingerprint;
 use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{decompose_with, DecomposeOptions, Graph, OpId, RegionTree};
+use fastt_sim::seed::splitmix64;
 use fastt_sim::Placement;
 use fastt_telemetry::jobj;
 use std::collections::HashMap;
@@ -340,7 +341,7 @@ fn region_fingerprint(
         capacity_mask: narrow.shape_hash(),
         cost_generation: generation,
         context: if generation > 0 {
-            super::cache::mix(ctx.cache_salt)
+            splitmix64(ctx.cache_salt)
         } else {
             0
         },

@@ -54,45 +54,6 @@ impl Plan {
             config,
         )
     }
-
-    /// Multi-line human-readable summary of the plan: graph size, split
-    /// list, per-device op counts, and whether an execution order is
-    /// enforced. Useful for logging and the examples.
-    pub fn describe(&self, topo: &Topology) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "plan: {} ops, {} edges",
-            self.graph.op_count(),
-            self.graph.edge_count()
-        );
-        if self.splits.is_empty() {
-            let _ = writeln!(s, "  splits: none");
-        } else {
-            let _ = writeln!(s, "  splits: {}", self.splits.len());
-            for d in &self.splits {
-                let _ = writeln!(s, "    {d}");
-            }
-        }
-        let hist = self.placement.op_histogram(topo);
-        for d in topo.device_ids() {
-            let n = hist[d.index()];
-            if n > 0 || !topo.is_host(d) {
-                let _ = writeln!(s, "  {}: {} ops", topo.device(d).name, n);
-            }
-        }
-        let _ = writeln!(
-            s,
-            "  order: {}",
-            if self.order.is_some() {
-                "enforced"
-            } else {
-                "executor FIFO"
-            }
-        );
-        s
-    }
 }
 
 /// The default data-parallel strategy (the paper's `DP` baseline, TF-slim
@@ -410,19 +371,6 @@ mod tests {
         let topo = Topology::single_server(4);
         let plan = model_parallel_plan(&t, &topo, &HardwarePerf::new());
         plan.placement.validate(&t, &topo).unwrap();
-    }
-
-    #[test]
-    fn describe_mentions_the_essentials() {
-        let t = training();
-        let topo = Topology::single_server(2);
-        let rep = replicate(&t, 2).unwrap();
-        let plan = data_parallel_plan(&rep, &topo);
-        let d = plan.describe(&topo);
-        assert!(d.contains("ops"));
-        assert!(d.contains("splits: none"));
-        assert!(d.contains("executor FIFO"));
-        assert!(d.contains("srv0/gpu0"));
     }
 
     #[test]

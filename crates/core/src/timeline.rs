@@ -73,21 +73,6 @@ impl DeviceTimeline {
     pub fn horizon(&self) -> f64 {
         self.intervals.last().map(|&(_, e)| e).unwrap_or(0.0)
     }
-
-    /// Total scheduled busy time.
-    pub fn busy_time(&self) -> f64 {
-        self.intervals.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Number of scheduled intervals.
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Whether nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +234,7 @@ mod tests {
     fn zero_duration_ops_do_not_pollute() {
         let mut t = DeviceTimeline::new();
         t.reserve(1.0, 0.0);
-        assert!(t.is_empty());
+        assert!(t.intervals.is_empty());
         assert_eq!(t.horizon(), 0.0);
     }
 
@@ -258,9 +243,10 @@ mod tests {
         let mut t = DeviceTimeline::new();
         t.reserve(0.0, 2.0);
         t.reserve(5.0, 3.0);
-        assert_eq!(t.busy_time(), 5.0);
+        let busy: f64 = t.intervals.iter().map(|&(s, e)| e - s).sum();
+        assert_eq!(busy, 5.0);
         assert_eq!(t.horizon(), 8.0);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.intervals.len(), 2);
     }
 
     #[test]
@@ -272,6 +258,6 @@ mod tests {
             let s = t.earliest_slot(ready, d);
             t.reserve(s, d); // debug_asserts verify no overlap
         }
-        assert_eq!(t.len(), durations.len());
+        assert_eq!(t.intervals.len(), durations.len());
     }
 }

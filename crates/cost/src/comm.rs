@@ -130,8 +130,7 @@ pub struct CommCostModel {
     /// [`CommCostModel::distrust_link`] when the session marks a link
     /// degraded or failed. Consulted *before* the class fit, so one sick
     /// link prices pessimistically without poisoning the healthy same-class
-    /// fit every other link answers from. BTreeMap for deterministic
-    /// iteration in [`CommCostModel::distrusted_pairs`].
+    /// fit every other link answers from.
     distrust: BTreeMap<(DeviceId, DeviceId), LinReg>,
 }
 
@@ -206,11 +205,6 @@ impl CommCostModel {
         if moved {
             self.refit();
         }
-    }
-
-    /// Whether [`CommCostModel::bind_topology`] has been called.
-    pub fn is_bound(&self) -> bool {
-        self.topo.is_some()
     }
 
     /// The analytic prior line of a link spec: intercept = latency,
@@ -464,11 +458,6 @@ impl CommCostModel {
     /// Whether a directed hop currently prices from a distrust override.
     pub fn is_distrusted(&self, src: DeviceId, dst: DeviceId) -> bool {
         self.distrust.contains_key(&(src, dst))
-    }
-
-    /// Every distrusted directed hop, in deterministic id order.
-    pub fn distrusted_pairs(&self) -> Vec<(DeviceId, DeviceId)> {
-        self.distrust.keys().copied().collect()
     }
 
     /// Monotonic refit generation: bumped once per [`CommCostModel::refit`]

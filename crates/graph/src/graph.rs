@@ -1,7 +1,7 @@
 //! The computation graph: a DAG of [`Operation`]s connected by tensor edges.
 
 use crate::error::GraphError;
-use crate::op::{OpId, OpKind, Operation};
+use crate::op::{OpId, Operation};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -370,15 +370,6 @@ impl Graph {
         self.d.ops.iter().map(|o| o.param_bytes).sum()
     }
 
-    /// Number of ops per [`OpKind`].
-    pub fn kind_histogram(&self) -> HashMap<OpKind, usize> {
-        let mut h = HashMap::new();
-        for op in &self.d.ops {
-            *h.entry(op.kind).or_insert(0) += 1;
-        }
-        h
-    }
-
     /// Deterministic 64-bit hash of the graph *structure*: every operation
     /// (in id order — ids are append-only and stable) with its name, kind,
     /// output shape, flops and parameter bytes, every edge with its byte
@@ -455,6 +446,7 @@ pub struct GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::OpKind;
 
     fn diamond() -> (Graph, [OpId; 4]) {
         let mut g = Graph::new();
@@ -596,14 +588,5 @@ mod tests {
         let (g, [a, ..]) = diamond();
         assert_eq!(g.by_name("a"), Some(a));
         assert_eq!(g.by_name("nope"), None);
-    }
-
-    #[test]
-    fn kind_histogram_counts() {
-        let (g, _) = diamond();
-        let h = g.kind_histogram();
-        assert_eq!(h[&OpKind::Relu], 2);
-        assert_eq!(h[&OpKind::Input], 1);
-        assert_eq!(h[&OpKind::Add], 1);
     }
 }

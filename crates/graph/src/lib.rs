@@ -55,9 +55,8 @@ pub use error::GraphError;
 pub use graph::{Edge, EdgeId, Graph, GraphStats};
 pub use op::{CollectiveKind, OpId, OpKind, Operation, SplitDim};
 pub use rewrite::{
-    break_cycles, decompose, decompose_with, replicate, replicate_grouped, replicate_with,
-    split_operation, strongly_connected_components, DecomposeOptions, Region, RegionId, RegionKind,
-    RegionTree, ReplicaRole, ReplicatedGraph, ReplicationMode, SplitDecision, SplitResult,
-    UnrolledGraph,
+    decompose, decompose_with, replicate, replicate_grouped, replicate_with, split_operation,
+    DecomposeOptions, Region, RegionId, RegionKind, RegionTree, ReplicaRole, ReplicatedGraph,
+    ReplicationMode, SplitDecision, SplitResult,
 };
 pub use shape::{TensorShape, BYTES_PER_ELEM};

@@ -134,11 +134,6 @@ impl OpKind {
     pub fn is_variable(self) -> bool {
         matches!(self, OpKind::Variable)
     }
-
-    /// Whether the op is pure graph plumbing inserted by rewrites.
-    pub fn is_plumbing(self) -> bool {
-        matches!(self, OpKind::Split | OpKind::Concat | OpKind::Identity)
-    }
 }
 
 impl fmt::Display for OpKind {

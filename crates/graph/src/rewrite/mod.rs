@@ -11,7 +11,6 @@
 mod decompose;
 mod replicate;
 mod split;
-mod unroll;
 
 pub use decompose::{
     decompose, decompose_with, DecomposeOptions, Region, RegionId, RegionKind, RegionTree,
@@ -20,4 +19,3 @@ pub use replicate::{
     replicate, replicate_grouped, replicate_with, ReplicaRole, ReplicatedGraph, ReplicationMode,
 };
 pub use split::{split_operation, SplitDecision, SplitResult};
-pub use unroll::{break_cycles, strongly_connected_components, UnrolledGraph};

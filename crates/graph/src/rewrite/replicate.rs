@@ -74,15 +74,6 @@ impl ReplicatedGraph {
             .filter(move |(_, r)| **r == ReplicaRole::Replica(k))
             .map(|(i, _)| OpId(i as u32))
     }
-
-    /// Globally shared ops (variables, updates, global aggregation).
-    pub fn shared_ops(&self) -> impl Iterator<Item = OpId> + '_ {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r == ReplicaRole::Shared)
-            .map(|(i, _)| OpId(i as u32))
-    }
 }
 
 /// Replicates with [`ReplicationMode::ParameterServer`] on a single server —
@@ -453,7 +444,8 @@ mod tests {
         let n0 = r.replica_ops(0).count();
         let n1 = r.replica_ops(1).count();
         assert_eq!(n0, n1);
-        assert_eq!(r.shared_ops().count(), 3); // variable + apply + agg
+        let shared = r.roles.iter().filter(|&&k| k == ReplicaRole::Shared);
+        assert_eq!(shared.count(), 3); // variable + apply + agg
         assert_eq!(r.graph.op_count(), n0 + n1 + 3);
     }
 

@@ -18,7 +18,6 @@ use fastt_graph::{CollectiveKind, Graph, OpId};
 use fastt_telemetry::{jobj, Collector};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Simulation parameters.
@@ -147,7 +146,7 @@ fn run_route(
     coll_factor: f64,
     topo: &Topology,
     config: &SimConfig,
-    channels: &mut HashMap<(u32, u32), f64>,
+    channels: &mut [f64],
     contention: &mut f64,
     transfers: &mut Vec<TransferRecord>,
     comm_retries: &mut u64,
@@ -257,8 +256,8 @@ fn run_route(
                 }
             }
         }
-        let key = topo.channel_key(a, b);
-        let free_at = channels.get(&key).copied().unwrap_or(0.0).max(cursor);
+        let chan = topo.channel(a, b);
+        let free_at = channels[chan].max(cursor);
         *contention += free_at - cursor;
         let link = topo.link(a, b).expect("route hops are physical links");
         let mut xfer = link.transfer_time(bytes) * coll_factor;
@@ -275,7 +274,7 @@ fn run_route(
             }
         }
         let hop_end = free_at + xfer;
-        channels.insert(key, hop_end);
+        channels[chan] = hop_end;
         transfers.push(TransferRecord {
             src_op,
             dst_op,
@@ -317,7 +316,7 @@ fn run_collective(
     now: f64,
     topo: &Topology,
     config: &SimConfig,
-    channels: &mut HashMap<(u32, u32), f64>,
+    channels: &mut [f64],
     contention: &mut f64,
     transfers: &mut Vec<TransferRecord>,
     comm_retries: &mut u64,
@@ -610,9 +609,9 @@ pub fn simulate(
     let mut device_free: Vec<bool> = vec![true; n_dev];
     let mut device_busy_time: Vec<f64> = vec![0.0; n_dev];
 
-    // Transfer channels: busy-until per channel key (see
-    // `Topology::channel_key` for the sharing rules).
-    let mut channels: HashMap<(u32, u32), f64> = HashMap::new();
+    // Transfer channels: busy-until per channel index (see
+    // `Topology::channel` for the sharing rules).
+    let mut channels: Vec<f64> = vec![0.0; topo.channel_count()];
 
     // The communication plan: every cross-device edge's route and every
     // collective's ring, lowered once up front (see `crate::comm`). The

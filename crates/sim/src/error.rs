@@ -141,14 +141,6 @@ impl SimError {
         matches!(self, SimError::Transient { .. })
     }
 
-    /// The crashed device, when this is a [`SimError::DeviceCrash`].
-    pub fn crashed_device(&self) -> Option<DeviceId> {
-        match self {
-            SimError::DeviceCrash { device, .. } => Some(*device),
-            _ => None,
-        }
-    }
-
     /// The dead or unroutable link, when this is a network failure
     /// ([`SimError::LinkDown`] or [`SimError::Unreachable`]).
     pub fn dead_link(&self) -> Option<(DeviceId, DeviceId)> {

@@ -138,16 +138,6 @@ impl SeedStream {
             .wrapping_add(1_442_695_040_888_963_407);
         self.state >> 33
     }
-
-    /// Sequential draw in `0..modulo` (`0` when `modulo` is `0`).
-    pub fn next_in(&mut self, modulo: u64) -> u64 {
-        let r = self.next();
-        if modulo == 0 {
-            0
-        } else {
-            r % modulo
-        }
-    }
 }
 
 #[cfg(test)]

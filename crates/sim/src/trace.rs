@@ -216,25 +216,19 @@ impl RunTrace {
 
     /// Renders the trace in Chrome's trace-event JSON format (open in
     /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)): one row
-    /// per device for op execution, one row per source→destination device
-    /// pair for transfers.
+    /// per device of `topo` for op execution, one row per physical channel
+    /// ([`Topology::channel`]: NVLink pair, host egress or ingress, NIC
+    /// pair) for transfers, Perfetto metadata naming every row, and
+    /// per-device memory counter tracks when the trace carries a memory
+    /// timeline.
     ///
     /// `names` supplies the op labels (pass the graph's op names, indexed by
     /// `OpId`); missing entries fall back to the op id.
-    pub fn to_chrome_trace(&self, names: &[String]) -> String {
-        self.render_chrome(names, None)
-    }
-
-    /// Like [`RunTrace::to_chrome_trace`], with the topology available:
-    /// transfer rows collapse onto the *physical channels* of `topo`
-    /// (`Topology::channel_key` — PCIe pair, NIC, host link), Perfetto
-    /// metadata events name every process/thread row, and per-device memory
-    /// counter tracks are emitted when the trace carries a memory timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record names a device outside `topo`.
     pub fn to_chrome_trace_full(&self, names: &[String], topo: &Topology) -> String {
-        self.render_chrome(names, Some(topo))
-    }
-
-    fn render_chrome(&self, names: &[String], topo: Option<&Topology>) -> String {
         let mut events: Vec<Value> = Vec::new();
         let name_of = |op: OpId| -> String {
             names
@@ -242,14 +236,12 @@ impl RunTrace {
                 .cloned()
                 .unwrap_or_else(|| op.to_string())
         };
-        if let Some(topo) = topo {
-            events.push(meta_event("process_name", 0, None, "compute"));
-            events.push(meta_event("process_name", 1, None, "transfers"));
-            events.push(meta_event("process_name", 2, None, "memory"));
-            for d in 0..topo.device_count() {
-                let label = &topo.device(DeviceId(d as u16)).name;
-                events.push(meta_event("thread_name", 0, Some(d as u64), label));
-            }
+        events.push(meta_event("process_name", 0, None, "compute"));
+        events.push(meta_event("process_name", 1, None, "transfers"));
+        events.push(meta_event("process_name", 2, None, "memory"));
+        for d in 0..topo.device_count() {
+            let label = &topo.device(DeviceId(d as u16)).name;
+            events.push(meta_event("thread_name", 0, Some(d as u64), label));
         }
         for r in &self.op_records {
             if r.start < 0.0 {
@@ -265,30 +257,16 @@ impl RunTrace {
                 "tid" => r.device.0 as u64,
             });
         }
-        // Transfer rows. Without a topology, fall back to one row per
-        // (src, dst) device pair; `DeviceId` is 16-bit, so packing the pair
-        // into disjoint halves of the tid can never collide (the seed's
-        // `src * 1000 + dst` encoding aliased for topologies of 1000+
-        // devices). With a topology, rows are the actual shared channels.
-        let mut channel_rows: Vec<((u32, u32), String)> = Vec::new();
-        let mut tid_of = |t: &TransferRecord| -> u64 {
-            match topo {
-                None => ((t.src_dev.0 as u64) << 16) | t.dst_dev.0 as u64,
-                Some(topo) => {
-                    let key = topo.channel_key(t.src_dev, t.dst_dev);
-                    let idx = match channel_rows.iter().position(|(k, _)| *k == key) {
-                        Some(i) => i,
-                        None => {
-                            channel_rows.push((key, channel_label(key)));
-                            channel_rows.len() - 1
-                        }
-                    };
-                    idx as u64
-                }
-            }
-        };
+        // A transfer's row is its channel index; each used channel is
+        // named once, from the first hop that occupies it.
+        let mut named = vec![false; topo.channel_count()];
+        let mut channel_names: Vec<Value> = Vec::new();
         for t in &self.transfers {
-            let tid = tid_of(t);
+            let chan = topo.channel(t.src_dev, t.dst_dev);
+            if !std::mem::replace(&mut named[chan], true) {
+                let label = topo.channel_label(t.src_dev, t.dst_dev);
+                channel_names.push(meta_event("thread_name", 1, Some(chan as u64), &label));
+            }
             events.push(jobj! {
                 "name" => format!("{} -> {} ({} B)", name_of(t.src_op), name_of(t.dst_op), t.bytes).as_str(),
                 "cat" => "transfer",
@@ -296,23 +274,19 @@ impl RunTrace {
                 "ts" => t.start * 1e6,
                 "dur" => t.duration() * 1e6,
                 "pid" => 1u64,
-                "tid" => tid,
+                "tid" => chan as u64,
             });
         }
-        if topo.is_some() {
-            for (i, (_, label)) in channel_rows.iter().enumerate() {
-                events.push(meta_event("thread_name", 1, Some(i as u64), label));
-            }
-            for s in &self.mem_timeline {
-                events.push(jobj! {
-                    "name" => format!("mem gpu:{}", s.device.0).as_str(),
-                    "cat" => "memory",
-                    "ph" => "C",
-                    "ts" => s.t * 1e6,
-                    "pid" => 2u64,
-                    "args" => jobj! { "bytes" => s.bytes },
-                });
-            }
+        events.extend(channel_names);
+        for s in &self.mem_timeline {
+            events.push(jobj! {
+                "name" => format!("mem gpu:{}", s.device.0).as_str(),
+                "cat" => "memory",
+                "ph" => "C",
+                "ts" => s.t * 1e6,
+                "pid" => 2u64,
+                "args" => jobj! { "bytes" => s.bytes },
+            });
         }
         jobj! { "traceEvents" => Value::Arr(events) }.to_string()
     }
@@ -330,17 +304,6 @@ fn meta_event(kind: &str, pid: u64, tid: Option<u64>, label: &str) -> Value {
     }
     fields.push(("args".to_string(), jobj! { "name" => label }));
     Value::Obj(fields)
-}
-
-/// Human label for a channel row, from the key scheme documented on
-/// `Topology::channel_key`.
-fn channel_label(key: (u32, u32)) -> String {
-    match key {
-        (s, _) if s >= 0x3_0000 => format!("host->gpu:{}", s - 0x3_0000),
-        (s, _) if s >= 0x2_0000 => format!("gpu:{}->host", s - 0x2_0000),
-        (s, d) if s >= 0x1_0000 => format!("net srv{}->srv{}", s - 0x1_0000, d - 0x1_0000),
-        (s, d) => format!("pcie gpu:{s}->gpu:{d}"),
-    }
 }
 
 #[cfg(test)]
@@ -366,15 +329,7 @@ mod tests {
                     end: 2.0,
                 },
             ],
-            transfers: vec![TransferRecord {
-                src_op: OpId(0),
-                dst_op: OpId(1),
-                src_dev: DeviceId(0),
-                dst_dev: DeviceId(1),
-                bytes: 100,
-                start: 1.0,
-                end: 1.5,
-            }],
+            transfers: vec![hop(DeviceId(0), DeviceId(1))],
             collectives: Vec::new(),
             makespan: 2.0,
             device_busy: vec![1.0, 0.5],
@@ -384,6 +339,19 @@ mod tests {
             mem_timeline: Vec::new(),
             reexecutions: 0,
             comm_retries: 0,
+        }
+    }
+
+    /// A 100-byte transfer from op 0 to op 1 over one `src → dst` hop.
+    fn hop(src_dev: DeviceId, dst_dev: DeviceId) -> TransferRecord {
+        TransferRecord {
+            src_op: OpId(0),
+            dst_op: OpId(1),
+            src_dev,
+            dst_dev,
+            bytes: 100,
+            start: 1.0,
+            end: 1.5,
         }
     }
 
@@ -438,22 +406,24 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_all_events() {
         let t = trace();
+        let topo = Topology::single_server(2);
         let names = vec!["a".to_string(), "b".to_string()];
-        let json = t.to_chrome_trace(&names);
+        let json = t.to_chrome_trace_full(&names, &topo);
         let v = Value::parse(&json).unwrap();
         let events = v["traceEvents"].as_array().unwrap();
-        assert_eq!(events.len(), 3); // 2 ops + 1 transfer
-        assert!(events.iter().any(|e| e["name"] == "a"));
-        assert!(events.iter().any(|e| e["cat"] == "transfer"));
+        let slices: Vec<_> = events.iter().filter(|e| e["ph"] == "X").collect();
+        assert_eq!(slices.len(), 3); // 2 ops + 1 transfer
+        assert!(slices.iter().any(|e| e["name"] == "a"));
+        assert!(slices.iter().any(|e| e["cat"] == "transfer"));
         // timestamps in microseconds
-        assert_eq!(events[0]["dur"].as_f64().unwrap(), 1e6);
+        assert_eq!(slices[0]["dur"].as_f64().unwrap(), 1e6);
     }
 
     #[test]
     fn chrome_trace_skips_unexecuted_ops() {
         let mut t = trace();
         t.op_records[1].start = -1.0;
-        let json = t.to_chrome_trace(&[]);
+        let json = t.to_chrome_trace_full(&[], &Topology::single_server(2));
         let v = Value::parse(&json).unwrap();
         let ops = v["traceEvents"]
             .as_array()
@@ -466,29 +436,17 @@ mod tests {
 
     #[test]
     fn transfer_tids_do_not_collide_on_large_topologies() {
-        // Seed encoding (src*1000 + dst) aliased (1, 2) with (0, 1002).
+        // one transfer per directed hop of a 4-server cluster: two
+        // transfers share a row exactly when they share a channel
+        let topo = Topology::multi_server(4, 8);
+        let hops: Vec<(DeviceId, DeviceId)> = topo
+            .device_ids()
+            .flat_map(|a| topo.device_ids().map(move |b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .collect();
         let mut t = trace();
-        t.transfers = vec![
-            TransferRecord {
-                src_op: OpId(0),
-                dst_op: OpId(1),
-                src_dev: DeviceId(1),
-                dst_dev: DeviceId(2),
-                bytes: 1,
-                start: 0.0,
-                end: 0.1,
-            },
-            TransferRecord {
-                src_op: OpId(0),
-                dst_op: OpId(1),
-                src_dev: DeviceId(0),
-                dst_dev: DeviceId(1002),
-                bytes: 1,
-                start: 0.0,
-                end: 0.1,
-            },
-        ];
-        let v = Value::parse(&t.to_chrome_trace(&[])).unwrap();
+        t.transfers = hops.iter().map(|&(a, b)| hop(a, b)).collect();
+        let v = Value::parse(&t.to_chrome_trace_full(&[], &topo)).unwrap();
         let tids: Vec<f64> = v["traceEvents"]
             .as_array()
             .unwrap()
@@ -496,8 +454,13 @@ mod tests {
             .filter(|e| e["cat"] == "transfer")
             .map(|e| e["tid"].as_f64().unwrap())
             .collect();
-        assert_eq!(tids.len(), 2);
-        assert_ne!(tids[0], tids[1]);
+        assert_eq!(tids.len(), hops.len());
+        for (i, &(a, b)) in hops.iter().enumerate() {
+            for (j, &(c, d)) in hops.iter().enumerate() {
+                let same = topo.channel(a, b) == topo.channel(c, d);
+                assert_eq!(tids[i] == tids[j], same);
+            }
+        }
     }
 
     #[test]
@@ -527,13 +490,43 @@ mod tests {
             .any(|e| e["name"] == "process_name" && e["args"]["name"] == "compute"));
         let counters = events.iter().filter(|e| e["ph"] == "C").count();
         assert_eq!(counters, 2);
-        // transfers collapse onto dense per-channel rows starting at 0
-        let tmin = events
+        // the transfer sits on its channel's row
+        let tids: Vec<u64> = events
             .iter()
             .filter(|e| e["cat"] == "transfer")
             .map(|e| e["tid"].as_u64().unwrap())
-            .min()
-            .unwrap();
-        assert_eq!(tmin, 0);
+            .collect();
+        assert_eq!(tids, vec![topo.channel(DeviceId(0), DeviceId(1)) as u64]);
+    }
+
+    #[test]
+    fn channel_rows_are_labelled_from_the_topology() {
+        // one NVLink transfer and one cross-server transfer staged through
+        // both hosts: GPU -> its host -> the other host -> GPU
+        let topo = Topology::multi_server(2, 2);
+        let mut t = trace();
+        let route = topo.route(DeviceId(0), DeviceId(2));
+        assert_eq!(route.len(), 3);
+        t.transfers.extend(route.iter().map(|&(a, b)| hop(a, b)));
+        let v = Value::parse(&t.to_chrome_trace_full(&[], &topo)).unwrap();
+        let events = v["traceEvents"].as_array().unwrap();
+        let label_of = |a: DeviceId, b: DeviceId| -> String {
+            let chan = topo.channel(a, b) as u64;
+            let rows: Vec<_> = events
+                .iter()
+                .filter(|e| e["name"] == "thread_name" && e["pid"] == 1.0)
+                .filter(|e| e["tid"].as_u64() == Some(chan))
+                .collect();
+            assert_eq!(rows.len(), 1, "one name per channel row");
+            rows[0]["args"]["name"].as_str().unwrap().to_string()
+        };
+        let (h0, h1) = (topo.host_of(0).unwrap(), topo.host_of(1).unwrap());
+        assert_eq!(
+            label_of(DeviceId(0), DeviceId(1)),
+            "nvlink srv0/gpu0->srv0/gpu1"
+        );
+        assert_eq!(label_of(DeviceId(0), h0), "pcie gpus->srv0/cpu");
+        assert_eq!(label_of(h0, h1), "rdma srv0->srv1");
+        assert_eq!(label_of(h1, DeviceId(2)), "pcie srv1/cpu->gpus");
     }
 }

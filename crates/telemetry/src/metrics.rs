@@ -141,17 +141,6 @@ impl Registry {
         self.observe_with(name, v, &DEFAULT_BUCKETS);
     }
 
-    /// Pre-registers the histogram `name` with caller-supplied bucket
-    /// bounds, so later [`Registry::observe`] calls land in the declared
-    /// buckets instead of [`DEFAULT_BUCKETS`]. An existing histogram keeps
-    /// its bounds and counts.
-    pub fn declare_histogram(&self, name: &str, bounds: &[f64]) {
-        let mut m = self.inner.lock().expect("registry lock");
-        if !matches!(m.get(name), Some(Metric::Histogram(_))) {
-            m.insert(name.to_string(), Metric::Histogram(Histogram::new(bounds)));
-        }
-    }
-
     /// Records `v` into the histogram `name`, creating it with the given
     /// bucket bounds if absent (bounds of an existing histogram are kept).
     pub fn observe_with(&self, name: &str, v: f64, bounds: &[f64]) {
@@ -260,22 +249,22 @@ mod tests {
     #[test]
     fn declared_bounds_survive_plain_observe() {
         let r = Registry::new();
-        r.declare_histogram("lat", &FINE_BUCKETS);
+        r.observe_with("lat", 5e-8, &FINE_BUCKETS);
         r.observe("lat", 5e-8); // sub-µs: first DEFAULT bucket, second FINE bucket
         let Some(MetricValue::Histogram(h)) = r.get("lat") else {
             panic!("expected histogram");
         };
         assert_eq!(h.bounds, FINE_BUCKETS.to_vec());
         assert_eq!(
-            h.counts[1], 1,
+            h.counts[1], 2,
             "lands in the ≤1e-7 bucket, not a 1 µs floor"
         );
-        // redeclaring keeps bounds and counts
-        r.declare_histogram("lat", &DEFAULT_BUCKETS);
+        // other bounds on a later observation keep bounds and counts
+        r.observe_with("lat", 5e-8, &DEFAULT_BUCKETS);
         let Some(MetricValue::Histogram(h)) = r.get("lat") else {
             panic!("expected histogram");
         };
-        assert_eq!(h.count, 1);
+        assert_eq!(h.count, 3);
         assert_eq!(h.bounds.len(), FINE_BUCKETS.len());
     }
 
