@@ -13,7 +13,7 @@ use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::{CommCostModel, CostModels, OpTimes, ResolvedPair};
 use fastt_graph::{Graph, OpId};
 use fastt_sim::{HardwarePerf, Placement};
-use fastt_telemetry::{jobj, Collector, Value};
+use fastt_telemetry::Collector;
 use std::cell::OnceCell;
 
 /// The output of one DPOS run: placement, execution order, and the
@@ -180,11 +180,10 @@ pub fn dpos(graph: &Graph, topo: &Topology, cost: &CostModels, hw: &HardwarePerf
     dpos_impl(graph, topo, cost, hw, None, DposFlags::default(), None)
 }
 
-/// [`dpos`] with optional scheduler decision tracing: when `col` is `Some`,
-/// every placement decision is emitted as a `dpos.place` event carrying the
-/// chosen device and the earliest-finish-time score of every device that was
-/// considered. This is the single entry point the planner layer uses — the
-/// old `dpos_traced` duplicate is gone.
+/// [`dpos`] with optional tracing: when `col` is `Some`, the run counts
+/// itself (`dpos.runs`, `dpos.ops_placed`) and times its `rank` and
+/// `eft_scan` phases under `dpos.place`. Nothing is recorded per op. This
+/// is the single entry point the planner layer uses.
 ///
 /// # Panics
 ///
@@ -251,11 +250,12 @@ fn dpos_impl(
     flags: DposFlags,
     col: Option<&Collector>,
 ) -> Schedule {
+    let n = graph.op_count();
     if let Some(col) = col {
         col.metrics().inc("dpos.runs");
+        col.metrics().add("dpos.ops_placed", n as u64);
     }
     let _place_phase = col.map(|c| c.phase("dpos.place"));
-    let n = graph.op_count();
     let n_dev = topo.device_count();
     let rank_phase = col.map(|c| c.phase("rank"));
     let ranks = upward_ranks(graph, cost);
@@ -441,9 +441,11 @@ fn dpos_impl(
         }
     };
 
+    // One phase for the whole placement loop: the candidate scans with
+    // their idle-gap searches and transfer timing, and the commits.
+    let scan_phase = col.map(|c| c.phase("eft_scan"));
     let mut candidates: Vec<DeviceId> = Vec::with_capacity(n_dev);
     while let Some(std::cmp::Reverse((_, o))) = ready.pop() {
-        let name = &graph.op_ref(o).name;
         let need = hw.planning_bytes(graph.op_ref(o));
         let op_times = times[o.index()];
 
@@ -481,14 +483,10 @@ fn dpos_impl(
             }
         }
 
-        // Min-EFT selection with idle-slot insertion. The phase covers the
-        // whole candidate scan, including each device's idle-gap search
-        // (`earliest_slot`) and predecessor-transfer timing (`ready_time`).
-        let _scan_phase = col.map(|c| c.phase("eft_scan"));
+        // Min-EFT selection with idle-slot insertion.
         let mut best_d = candidates[0];
         let mut best_est = f64::INFINITY;
         let mut best_eft = f64::INFINITY;
-        let mut considered: Vec<Value> = Vec::new();
         for &d in &candidates {
             let w = op_times.get(d).unwrap_or(0.0);
             let ready = ready_time(o, d, &ft, &placement, &chan, &xfer_done);
@@ -498,31 +496,12 @@ fn dpos_impl(
                 ready.max(timelines[d.index()].horizon())
             };
             let eft = est + w;
-            if col.is_some() {
-                considered.push(jobj! { "device" => d.0 as u64, "eft" => eft });
-            }
             if eft < best_eft {
                 best_eft = eft;
                 best_est = est;
                 best_d = d;
             }
         }
-        drop(_scan_phase);
-        if let Some(col) = col {
-            col.metrics().inc("dpos.ops_placed");
-            col.emit(
-                "dpos.place",
-                jobj! {
-                    "op" => name.as_str(),
-                    "device" => best_d.0 as u64,
-                    "eft" => best_eft,
-                    "on_cp" => on_cp[o.index()],
-                    "considered" => Value::Arr(considered),
-                },
-            );
-        }
-
-        let _commit_phase = col.map(|c| c.phase("commit"));
         commit_transfers(o, best_d, &ft, &placement, &mut chan, &mut xfer_done);
         let w = op_times.get(best_d).unwrap_or(0.0);
         timelines[best_d.index()].reserve(best_est, w);
@@ -549,6 +528,7 @@ fn dpos_impl(
             }
         }
     }
+    drop(scan_phase);
     debug_assert!(placed.iter().all(|&b| b), "all ops placed");
 
     // Execution order: ascending start time, rank-descending tiebreak.

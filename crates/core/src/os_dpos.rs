@@ -47,9 +47,9 @@ pub fn dpos_plan(graph: &Graph, topo: &Topology, cost: &CostModels, hw: &Hardwar
     dpos_plan_opt(graph, topo, cost, hw, None)
 }
 
-/// [`dpos_plan`] with an optional collector for scheduler decision tracing
-/// (`dpos.place` events). The planner layer threads the context's collector
-/// through here — there is no separate `*_traced` duplicate.
+/// [`dpos_plan`] with an optional collector that counts the DPOS run and
+/// times its phases. The planner layer threads the context's collector
+/// through here.
 pub(crate) fn dpos_plan_opt(
     graph: &Graph,
     topo: &Topology,
@@ -84,7 +84,7 @@ pub fn os_dpos(
 }
 
 /// [`os_dpos`] with an optional collector: when tracing, the base DPOS run
-/// emits `dpos.place` events and every split verdict (accepted,
+/// is counted and every split verdict (accepted,
 /// rejected-and-stop) is emitted as a `dpos.split` event with the chosen
 /// dimension and degree. The inner DPOS re-runs of the split search stay
 /// untraced to bound event volume.

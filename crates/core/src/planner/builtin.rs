@@ -164,7 +164,7 @@ impl Planner for DataParallelPlanner {
     fn name(&self) -> &'static str {
         match self.mode {
             ReplicationMode::AllReduce => "data_parallel_allreduce",
-            _ => "data_parallel",
+            ReplicationMode::ParameterServer => "data_parallel",
         }
     }
 

@@ -17,8 +17,8 @@ use std::sync::Arc;
 /// thread its own clone, so OS-DPOS can seed sub-operation priors without
 /// racing other planners; the session adopts the winner's mutated clone
 /// back. Tracing is likewise a property of the context — a planner run with
-/// a collector emits the same `dpos.place` / `dpos.split` decision events
-/// the old `*_traced` function duplicates used to.
+/// a collector counts its DPOS runs and emits its `dpos.split` decision
+/// events.
 ///
 /// [`Portfolio`]: crate::planner::Portfolio
 #[derive(Debug, Clone)]

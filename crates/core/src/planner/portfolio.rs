@@ -8,7 +8,7 @@ use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
 use fastt_graph::Graph;
 use fastt_sim::{HardwarePerf, SimConfig};
-use fastt_telemetry::{jobj, Collector, FINE_BUCKETS};
+use fastt_telemetry::{jobj, Collector};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -213,11 +213,8 @@ impl Portfolio {
                     );
                     let hit = c.get(&fp, inputs.topo);
                     if let Some(col) = &col {
-                        col.metrics().observe_with(
-                            "planner.cache_lookup",
-                            lookup_t0.elapsed().as_secs_f64(),
-                            &FINE_BUCKETS,
-                        );
+                        col.metrics()
+                            .observe("planner.cache_lookup", lookup_t0.elapsed().as_secs_f64());
                     }
                     if let Some(col) = &col {
                         let kind = if hit.is_some() {
@@ -309,16 +306,11 @@ impl Portfolio {
                 },
                 (None, Some((res, evals, secs, cost))) => {
                     if let Some(col) = &col {
-                        // Aggregate and per-planner latency (ROADMAP item-1
-                        // SLO input); fine buckets — small-graph placements
-                        // land sub-microsecond.
+                        // Aggregate and per-planner latency (the
+                        // `planner.latency` SLO input).
+                        col.metrics().observe("planner.latency", secs);
                         col.metrics()
-                            .observe_with("planner.latency", secs, &FINE_BUCKETS);
-                        col.metrics().observe_with(
-                            &format!("planner.latency.{}", p.name()),
-                            secs,
-                            &FINE_BUCKETS,
-                        );
+                            .observe(&format!("planner.latency.{}", p.name()), secs);
                     }
                     let (plan, error) = match res {
                         Ok(plan) => (Some(plan), None),

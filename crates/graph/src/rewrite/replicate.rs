@@ -16,11 +16,8 @@ pub enum ReplicationMode {
     /// aggregators keep cross-server traffic at one parameter copy per
     /// direction per iteration (standard replicated-training structure).
     ParameterServer,
-    /// Mirrored variables: every replica owns a full copy of every variable;
-    /// the aggregated gradient is broadcast back to every replica's update.
-    /// (No per-server hierarchy; used by ablations.)
-    Mirrored,
-    /// Mirrored variables with **collective** gradient aggregation: the
+    /// Mirrored variables with **collective** gradient aggregation: every
+    /// replica owns a full copy of every variable and its update, and the
     /// aggregation node is annotated [`CollectiveKind::AllReduce`], so the
     /// communication-plan lowering runs a ring all-reduce over the replicas'
     /// devices (`2(n−1)` phases of `bytes/n`) instead of funneling every
@@ -323,7 +320,7 @@ pub fn replicate_grouped(
                     g.connect_bytes(agg_id, apply, grad_bytes)?;
                     g.colocate(&[agg_id, apply]);
                 }
-                ReplicationMode::Mirrored | ReplicationMode::AllReduce => {
+                ReplicationMode::AllReduce => {
                     for map_k in &id_map {
                         g.connect_bytes(agg_id, map_k[aid.index()], grad_bytes)?;
                     }
@@ -401,16 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn mirrored_mode_replicates_variables() {
-        let t = tiny_training();
-        let r = replicate_with(&t, 2, ReplicationMode::Mirrored).unwrap();
-        assert!(r.graph.by_name("rep0/w").is_some());
-        assert!(r.graph.by_name("rep1/w").is_some());
-        let agg = r.graph.by_name("agg/apply/w").unwrap();
-        assert_eq!(r.graph.succs(agg).count(), 2);
-    }
-
-    #[test]
     fn allreduce_mode_annotates_aggregation_as_collective() {
         let t = tiny_training();
         let r = replicate_with(&t, 4, ReplicationMode::AllReduce).unwrap();
@@ -427,13 +414,29 @@ mod tests {
         );
         assert_eq!(r.graph.preds(agg).count(), 4);
         assert_eq!(r.graph.succs(agg).count(), 4);
-        // PS and Mirrored graphs stay annotation-free
+        // PS graphs stay annotation-free
         let ps = replicate(&t, 4).unwrap();
         let ps_agg = ps.graph.by_name("agg/apply/w").unwrap();
         assert_eq!(ps.graph.op_ref(ps_agg).collective, None);
-        // ...and the annotation is fingerprint-relevant
-        let m = replicate_with(&t, 4, ReplicationMode::Mirrored).unwrap();
-        assert_ne!(m.graph.structure_hash(), r.graph.structure_hash());
+    }
+
+    #[test]
+    fn collective_annotation_alone_changes_the_structure_hash() {
+        let graph = |collective: bool| {
+            let mut g = Graph::new();
+            let mut agg = Operation::new("agg", OpKind::AggregateGradients, [4]);
+            if collective {
+                agg = agg.with_collective(CollectiveKind::AllReduce);
+            }
+            let a = g.add_op(agg).unwrap();
+            let u = g
+                .add_op(Operation::new("u", OpKind::ApplyGradient, [4]))
+                .unwrap();
+            g.connect(a, u).unwrap();
+            g
+        };
+        assert_eq!(graph(false).structure_hash(), graph(false).structure_hash());
+        assert_ne!(graph(false).structure_hash(), graph(true).structure_hash());
     }
 
     #[test]
@@ -508,11 +511,7 @@ mod tests {
     fn replicated_graph_is_valid_dag() {
         let t = tiny_training();
         for n in [1usize, 2, 3, 8] {
-            for mode in [
-                ReplicationMode::ParameterServer,
-                ReplicationMode::Mirrored,
-                ReplicationMode::AllReduce,
-            ] {
+            for mode in [ReplicationMode::ParameterServer, ReplicationMode::AllReduce] {
                 let groups: Vec<u16> = (0..n).map(|k| (k % 2) as u16).collect();
                 let r = replicate_grouped(&t, &groups, mode).unwrap();
                 r.graph.validate().unwrap();

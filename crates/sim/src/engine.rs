@@ -13,7 +13,7 @@ use crate::hardware::HardwarePerf;
 use crate::placement::Placement;
 use crate::queue::{ExecPolicy, ReadyQueue};
 use crate::trace::{CollectiveRecord, MemSample, OpRecord, RunTrace, TransferRecord};
-use fastt_cluster::{DeviceId, Topology};
+use fastt_cluster::{DeviceId, LinkClass, Topology};
 use fastt_graph::{CollectiveKind, Graph, OpId};
 use fastt_telemetry::{jobj, Collector};
 use std::cmp::Reverse;
@@ -284,14 +284,6 @@ fn run_route(
             start: free_at,
             end: hop_end,
         });
-        if config.attempt == 0 {
-            if let Some(col) = &config.collector {
-                if let Some(class) = topo.link_class(a, b) {
-                    col.metrics()
-                        .add(&format!("comm.bytes.{}", class.name()), bytes);
-                }
-            }
-        }
         cursor = hop_end;
     }
     Ok(cursor)
@@ -629,11 +621,8 @@ pub fn simulate(
             plan.validate(topo, config.iteration)?;
         }
         if let Some(col) = &config.collector {
-            col.metrics().observe_with(
-                "sim.lower_secs",
-                t0.elapsed().as_secs_f64(),
-                &fastt_telemetry::FINE_BUCKETS,
-            );
+            col.metrics()
+                .observe("sim.lower_secs", t0.elapsed().as_secs_f64());
         }
         plan
     };
@@ -881,22 +870,6 @@ pub fn simulate(
                         &mut transfers,
                         &mut comm_retry_count,
                     )?;
-                    if config.attempt == 0 {
-                        if let Some(col) = &config.collector {
-                            col.emit(
-                                "comm.step",
-                                jobj! {
-                                    "op" => op.0 as u64,
-                                    "src_dev" => sd.0 as u64,
-                                    "dst_dev" => send.dst_dev.0 as u64,
-                                    "bytes" => send.bytes,
-                                    "hops" => send.route.len() as u64,
-                                    "start" => now,
-                                    "end" => arrive,
-                                },
-                            );
-                        }
-                    }
                     push_event(
                         &mut events,
                         &mut event_payload,
@@ -954,22 +927,6 @@ pub fn simulate(
                         start: now,
                         end,
                     });
-                    if config.attempt == 0 {
-                        if let Some(col) = &config.collector {
-                            col.metrics().inc("comm.collectives");
-                            col.emit(
-                                "comm.collective",
-                                jobj! {
-                                    "node" => node.0 as u64,
-                                    "kind" => step.kind.to_string().as_str(),
-                                    "participants" => step.participants.len() as u64,
-                                    "bytes" => step.bytes,
-                                    "start" => now,
-                                    "end" => end,
-                                },
-                            );
-                        }
-                    }
                     push_event(
                         &mut events,
                         &mut event_payload,
@@ -1105,6 +1062,29 @@ pub fn simulate(
         m.inc("sim.iterations");
         m.add("sim.steps", trace.steps);
         m.add("sim.transfers", trace.transfers.len() as u64);
+        if config.attempt == 0 {
+            // Traffic per link class, summed once per iteration: bytes per
+            // device pair first, so each used link is classified once.
+            let mut pair_bytes = vec![0u64; n_dev * n_dev];
+            for t in &trace.transfers {
+                pair_bytes[t.src_dev.index() * n_dev + t.dst_dev.index()] += t.bytes;
+            }
+            let mut by_class: Vec<(LinkClass, u64)> = Vec::new();
+            for (pair, &bytes) in pair_bytes.iter().enumerate().filter(|(_, &b)| b > 0) {
+                let (a, b) = (pair / n_dev, pair % n_dev);
+                let Some(class) = topo.link_class(DeviceId(a as u16), DeviceId(b as u16)) else {
+                    continue;
+                };
+                match by_class.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, total)) => *total += bytes,
+                    None => by_class.push((class, bytes)),
+                }
+            }
+            for (class, bytes) in by_class {
+                m.add(&format!("comm.bytes.{}", class.name()), bytes);
+            }
+            m.add("comm.collectives", trace.collectives.len() as u64);
+        }
         m.add("sim.ops_executed", executed as u64);
         m.observe("sim.makespan", trace.makespan);
         let queue_wait = trace.device_queue_wait();

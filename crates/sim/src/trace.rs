@@ -280,7 +280,7 @@ impl RunTrace {
         events.extend(channel_names);
         for s in &self.mem_timeline {
             events.push(jobj! {
-                "name" => format!("mem gpu:{}", s.device.0).as_str(),
+                "name" => format!("mem {}", topo.device(s.device).name).as_str(),
                 "cat" => "memory",
                 "ph" => "C",
                 "ts" => s.t * 1e6,

@@ -389,3 +389,69 @@ fn collective_runs_are_deterministic() {
     assert_eq!(a.transfers, b.transfers);
     assert_eq!(a.collectives, b.collectives);
 }
+
+/// A traced ring all-reduce over a 2x2 cluster: the memory counter tracks
+/// carry the compute rows' device names, and the link traffic is summed
+/// into `comm.*` metrics once per iteration, with no per-send events.
+#[test]
+fn traced_two_server_run_names_memory_tracks_and_sums_traffic() {
+    use fastt_cluster::LinkClass;
+    use fastt_telemetry::{Collector, MemorySink, MetricValue, Value};
+    use std::sync::Arc;
+
+    let (g, _, _) = grad_fanin(4, true);
+    let t = Topology::multi_server(2, 2);
+    let mut p = Placement::uniform(g.op_count(), DeviceId(0));
+    for i in 0..4u16 {
+        p.set(OpId(u32::from(i)), DeviceId(i));
+    }
+    let sink = Arc::new(MemorySink::new(1024));
+    let col = Arc::new(Collector::new().with_sink(sink.clone()));
+    let config = SimConfig {
+        record_mem_timeline: true,
+        collector: Some(col.clone()),
+        ..cfg()
+    };
+    let tr = simulate(&g, &t, &p, &hw(), ExecPolicy::Fifo, &config).unwrap();
+
+    let v = Value::parse(&tr.to_chrome_trace_full(&[], &t)).unwrap();
+    let mut tracks: Vec<&str> = v["traceEvents"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| e["ph"] == "C")
+        .filter_map(|e| e["name"].as_str())
+        .collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    assert_eq!(
+        tracks,
+        [
+            "mem srv0/gpu0",
+            "mem srv0/gpu1",
+            "mem srv1/gpu0",
+            "mem srv1/gpu1"
+        ]
+    );
+
+    for class in LinkClass::all() {
+        let bytes: u64 = tr
+            .transfers
+            .iter()
+            .filter(|x| t.link_class(x.src_dev, x.dst_dev) == Some(class))
+            .map(|x| x.bytes)
+            .sum();
+        let got = match col.metrics().get(&format!("comm.bytes.{}", class.name())) {
+            Some(MetricValue::Counter(n)) => n,
+            _ => 0,
+        };
+        assert_eq!(got, bytes, "{}", class.name());
+    }
+    assert!(tr.transfers.len() > 1);
+    assert_eq!(
+        col.metrics().get("comm.collectives"),
+        Some(MetricValue::Counter(1))
+    );
+    let kinds: Vec<String> = sink.events().into_iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, ["sim.iteration"]);
+}

@@ -2,15 +2,16 @@
 //!
 //! Dependency-free observability substrate for the FastT reproduction:
 //! a thread-safe structured-event bus with pluggable sinks, a metrics
-//! registry (counters / gauges / fixed-bucket histograms), span timing
-//! helpers, and the minimal JSON machinery that backs them.
+//! registry (counters / gauges / log-linear histograms), a phase profiler,
+//! and the minimal JSON machinery that backs them.
 //!
 //! The paper's workflow is driven by *inspectable* white-box decisions —
-//! which device DPOS considered for an op, why a strategy was activated or
-//! rolled back, how far the cost models drifted. This crate is how those
-//! decisions become data: the session, the placement algorithms, the
-//! simulator, and the cost models all emit [`Event`]s through a shared
-//! [`Collector`] when one is attached, and stay zero-overhead when none is.
+//! why a strategy was activated or rolled back, how far the cost models
+//! drifted. This crate is how those decisions become data: the session,
+//! the placement algorithms, the simulator, and the cost models all emit
+//! [`Event`]s through a shared [`Collector`] when one is attached, and
+//! stay zero-overhead when none is. Hot loops (DPOS placement, the
+//! simulator's sends) record per-run summaries, never per-op events.
 //!
 //! # Examples
 //!
@@ -42,7 +43,7 @@ mod slo;
 
 pub use event::Event;
 pub use json::Value;
-pub use metrics::{Histogram, MetricValue, Registry, DEFAULT_BUCKETS, FINE_BUCKETS};
+pub use metrics::{Histogram, MetricValue, Registry};
 pub use profile::{fmt_secs, PhaseGuard, ProfileEntry, Profiler, PATH_SEPARATOR};
 pub use sink::{parse_jsonl, JsonlSink, MemorySink, NullSink, Sink};
 pub use slo::{evaluate_slos, Slo, SloGrade, SloVerdict};
@@ -182,8 +183,7 @@ impl Collector {
 
     /// Opens a nested profiling phase (see [`Profiler::enter`]): the
     /// returned guard rolls the phase's wall-clock time into the profile
-    /// tree on drop. Unlike [`Collector::span`] this emits no event and
-    /// touches no histogram — it is meant for hot loops.
+    /// tree on drop. It emits no event and touches no histogram.
     pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
         self.core.profiler.enter(name)
     }
@@ -193,52 +193,6 @@ impl Collector {
         for s in self.core.sinks.lock().unwrap().iter() {
             s.flush();
         }
-    }
-
-    /// Starts a timed span: on drop, the guard emits a `<kind>` event with
-    /// a `secs` field and records the duration into the `span.<kind>`
-    /// histogram.
-    pub fn span(&self, kind: &'static str) -> SpanGuard<'_> {
-        SpanGuard {
-            col: self,
-            kind,
-            start: Instant::now(),
-            extra: Vec::new(),
-        }
-    }
-
-    /// Times `f`, recording the span like [`Collector::span`], and returns
-    /// its result.
-    pub fn time<R>(&self, kind: &'static str, f: impl FnOnce() -> R) -> R {
-        let _guard = self.span(kind);
-        f()
-    }
-}
-
-/// Guard returned by [`Collector::span`]; see there.
-pub struct SpanGuard<'a> {
-    col: &'a Collector,
-    kind: &'static str,
-    start: Instant,
-    extra: Vec<(String, Value)>,
-}
-
-impl SpanGuard<'_> {
-    /// Attaches an extra field to the span's completion event.
-    pub fn field<V: Into<Value>>(&mut self, name: &str, v: V) {
-        self.extra.push((name.to_string(), v.into()));
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let secs = self.start.elapsed().as_secs_f64();
-        let mut fields = vec![("secs".to_string(), Value::from(secs))];
-        fields.append(&mut self.extra);
-        self.col.emit(self.kind, Value::Obj(fields));
-        self.col
-            .metrics()
-            .observe(&format!("span.{}", self.kind), secs);
     }
 }
 
@@ -271,26 +225,6 @@ mod tests {
         col.emit("x", jobj! { "v" => 1u64 });
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn span_emits_duration_event_and_histogram() {
-        let sink = Arc::new(MemorySink::new(4));
-        let col = Collector::new().with_sink(sink.clone());
-        {
-            let mut g = col.span("calc");
-            g.field("round", 3u64);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let evs = sink.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, "calc");
-        assert!(evs[0].num("secs").unwrap() > 0.0);
-        assert_eq!(evs[0].field("round").as_u64(), Some(3));
-        assert!(matches!(
-            col.metrics().get("span.calc"),
-            Some(MetricValue::Histogram(h)) if h.count == 1
-        ));
     }
 
     #[test]

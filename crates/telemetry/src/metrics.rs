@@ -1,21 +1,59 @@
-//! A small metrics registry: counters, gauges, and fixed-bucket histograms,
+//! A small metrics registry: counters, gauges, and log-linear histograms,
 //! keyed by name.
 
 use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Default histogram bucket upper bounds (seconds): exponential from 1 µs
-/// to 100 s — wide enough for op durations and strategy-calculation spans.
-pub const DEFAULT_BUCKETS: [f64; 9] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
+/// Histogram buckets split every power of two into `2^SUB_BITS` equal
+/// linear sub-buckets, so a bucket's width is at most 1/32 of its lower
+/// edge.
+const SUB_BITS: u32 = 5;
+const SUBS: u16 = 1 << SUB_BITS;
+/// The lowest bucket edge is `2^MIN_EXP` (≈ 0.93 ns); smaller values land
+/// in the zero bucket.
+const MIN_EXP: i32 = -30;
+/// The highest bucket ends at `2^MAX_EXP` (≈ 4.6 h); larger values land in
+/// the overflow bucket.
+const MAX_EXP: i32 = 14;
+/// Index of the overflow bucket; index 0 is the zero bucket.
+const OVERFLOW: u16 = 1 + (MAX_EXP - MIN_EXP) as u16 * SUBS;
 
-/// Fine-grained bucket bounds (seconds) starting at 10 ns, for latencies
-/// that land sub-microsecond — small-graph planner placements collapse
-/// into the first [`DEFAULT_BUCKETS`] bucket otherwise. Used for
-/// `planner.latency` and the other profiling histograms.
-pub const FINE_BUCKETS: [f64; 11] = [
-    1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0,
-];
+/// The bucket holding `v` (0 for zero, negative and sub-`2^MIN_EXP`
+/// values); `v` is not NaN.
+fn bucket_of(v: f64) -> u16 {
+    if v <= 0.0 {
+        return 0;
+    }
+    let bits = v.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    if exp < MIN_EXP {
+        0
+    } else if exp >= MAX_EXP {
+        OVERFLOW
+    } else {
+        let sub = (bits >> (52 - SUB_BITS)) as u16 & (SUBS - 1);
+        1 + (exp - MIN_EXP) as u16 * SUBS + sub
+    }
+}
+
+/// Lower and upper edge of bucket `i`. The zero bucket reads as `[0, 0]`
+/// and the overflow bucket's upper edge is +∞.
+fn bucket_edges(i: u16) -> (f64, f64) {
+    if i == 0 {
+        return (0.0, 0.0);
+    }
+    if i == OVERFLOW {
+        return (2f64.powi(MAX_EXP), f64::INFINITY);
+    }
+    let (octave, sub) = ((i - 1) / SUBS, (i - 1) % SUBS);
+    let base = 2f64.powi(MIN_EXP + i32::from(octave));
+    let step = base / f64::from(SUBS);
+    (
+        base + f64::from(sub) * step,
+        base + f64::from(sub + 1) * step,
+    )
+}
 
 #[derive(Debug, Clone)]
 enum Metric {
@@ -24,39 +62,44 @@ enum Metric {
     Histogram(Histogram),
 }
 
-/// A fixed-bucket histogram snapshot.
+/// A log-linear histogram: a zero bucket, 32 linear buckets per power of
+/// two from 2⁻³⁰ to 2¹⁴ (≈ 1 ns to 4.6 h in seconds), and an overflow
+/// bucket. Only occupied buckets are stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    /// Bucket upper bounds, ascending; an implicit +∞ bucket follows.
-    pub bounds: Vec<f64>,
-    /// Observation count per bound, plus the final overflow bucket
-    /// (`counts.len() == bounds.len() + 1`).
-    pub counts: Vec<u64>,
+    /// Observation count per occupied bucket index.
+    counts: BTreeMap<u16, u64>,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
     pub sum: f64,
+    /// Smallest observed value (+∞ when empty).
+    pub min: f64,
+    /// Largest observed value (−∞ when empty).
+    pub max: f64,
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
+    fn new() -> Self {
         Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
+            counts: BTreeMap::new(),
             count: 0,
             sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 
+    /// Records `v`; NaN is ignored.
     fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
+        if v.is_nan() {
+            return;
+        }
+        *self.counts.entry(bucket_of(v)).or_insert(0) += 1;
         self.count += 1;
         self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Mean of all observations (0 when empty).
@@ -68,21 +111,27 @@ impl Histogram {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile observation
-    /// (`f64::INFINITY` for the overflow bucket, 0 when empty).
-    pub fn quantile_bound(&self, q: f64) -> f64 {
+    /// The `q`-quantile (0 when empty): linear interpolation inside the
+    /// bucket that holds the nearest-rank observation, kept within the
+    /// observed range. For values from 2⁻³⁰ to 2¹⁴ the result is within
+    /// 1/32 (≈ 3.1%) of the nearest-rank value; the zero bucket reads as 0.
+    pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let rank = q.clamp(0.0, 1.0) * self.count as f64;
+        let target = (rank.ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+        for (&i, &c) in &self.counts {
+            if seen + c >= target {
+                let (lo, hi) = bucket_edges(i);
+                let hi = hi.min(self.max);
+                let frac = ((rank - seen as f64) / c as f64).clamp(0.0, 1.0);
+                return (lo + frac * (hi - lo)).max(self.min).min(self.max);
             }
+            seen += c;
         }
-        f64::INFINITY
+        self.max
     }
 }
 
@@ -136,19 +185,13 @@ impl Registry {
             .insert(name.to_string(), Metric::Gauge(v));
     }
 
-    /// Records `v` into the histogram `name` with [`DEFAULT_BUCKETS`].
+    /// Records `v` into the histogram `name`.
     pub fn observe(&self, name: &str, v: f64) {
-        self.observe_with(name, v, &DEFAULT_BUCKETS);
-    }
-
-    /// Records `v` into the histogram `name`, creating it with the given
-    /// bucket bounds if absent (bounds of an existing histogram are kept).
-    pub fn observe_with(&self, name: &str, v: f64, bounds: &[f64]) {
         let mut m = self.inner.lock().expect("registry lock");
         match m.get_mut(name) {
             Some(Metric::Histogram(h)) => h.observe(v),
             _ => {
-                let mut h = Histogram::new(bounds);
+                let mut h = Histogram::new();
                 h.observe(v);
                 m.insert(name.to_string(), Metric::Histogram(h));
             }
@@ -196,8 +239,11 @@ impl Registry {
                     ("count", Value::from(h.count)),
                     ("sum", Value::from(h.sum)),
                     ("mean", Value::from(h.mean())),
-                    ("bounds", Value::arr(h.bounds.clone())),
-                    ("counts", Value::arr(h.counts.clone())),
+                    ("min", Value::from(h.min)),
+                    ("max", Value::from(h.max)),
+                    ("p50", Value::from(h.quantile(0.5))),
+                    ("p95", Value::from(h.quantile(0.95))),
+                    ("p99", Value::from(h.quantile(0.99))),
                 ]),
             };
             (k, rendered)
@@ -231,41 +277,66 @@ mod tests {
     #[test]
     fn histogram_buckets_and_stats() {
         let r = Registry::new();
-        for v in [5e-7, 5e-4, 5e-4, 2.0, 1e9] {
+        for v in [0.0, 5e-4, 5e-4, 2.0, 1e9] {
             r.observe("lat", v);
         }
+        r.observe("lat", f64::NAN); // ignored
         let Some(MetricValue::Histogram(h)) = r.get("lat") else {
             panic!("expected histogram");
         };
         assert_eq!(h.count, 5);
-        assert_eq!(h.counts[0], 1); // ≤1e-6
-        assert_eq!(h.counts[3], 2); // ≤1e-3
-        assert_eq!(*h.counts.last().unwrap(), 1); // overflow
-        assert!(h.mean() > 0.0);
-        assert_eq!(h.quantile_bound(0.5), 1e-3);
-        assert_eq!(h.quantile_bound(1.0), f64::INFINITY);
+        assert_eq!((h.min, h.max), (0.0, 1e9));
+        let buckets: Vec<(f64, u64)> = h
+            .counts
+            .iter()
+            .map(|(&i, &c)| (bucket_edges(i).0, c))
+            .collect();
+        assert_eq!(buckets.len(), 4, "zero, 5e-4 (twice), 2.0, overflow");
+        assert_eq!(buckets[0], (0.0, 1), "zero bucket");
+        assert_eq!(buckets[1].1, 2);
+        assert!(buckets[1].0 <= 5e-4 && 5e-4 < buckets[1].0 * (1.0 + 1.0 / 32.0));
+        assert_eq!(buckets[2], (2.0, 1), "powers of two open a bucket");
+        assert_eq!(buckets[3], (2f64.powi(14), 1), "overflow bucket");
+        assert!((h.mean() - (1e9 + 2.001) / 5.0).abs() < 1e-3);
+        assert_eq!(h.quantile(0.0), 0.0);
+        assert!((h.quantile(0.5) - 5e-4).abs() <= 5e-4 / 32.0);
+        assert_eq!(h.quantile(1.0), 1e9);
     }
 
     #[test]
-    fn declared_bounds_survive_plain_observe() {
+    fn quantile_error_is_within_five_percent() {
+        // Seeded log-uniform values over 1e-8..1e3 s, plus zeros.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut uniform = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut values: Vec<f64> = (0..20_000)
+            .map(|_| 10f64.powf(-8.0 + 11.0 * uniform()))
+            .collect();
+        values.extend([0.0; 100]);
         let r = Registry::new();
-        r.observe_with("lat", 5e-8, &FINE_BUCKETS);
-        r.observe("lat", 5e-8); // sub-µs: first DEFAULT bucket, second FINE bucket
-        let Some(MetricValue::Histogram(h)) = r.get("lat") else {
+        for &v in &values {
+            r.observe("v", v);
+        }
+        let Some(MetricValue::Histogram(h)) = r.get("v") else {
             panic!("expected histogram");
         };
-        assert_eq!(h.bounds, FINE_BUCKETS.to_vec());
-        assert_eq!(
-            h.counts[1], 2,
-            "lands in the ≤1e-7 bucket, not a 1 µs floor"
-        );
-        // other bounds on a later observation keep bounds and counts
-        r.observe_with("lat", 5e-8, &DEFAULT_BUCKETS);
-        let Some(MetricValue::Histogram(h)) = r.get("lat") else {
-            panic!("expected histogram");
-        };
-        assert_eq!(h.count, 3);
-        assert_eq!(h.bounds.len(), FINE_BUCKETS.len());
+        values.sort_by(f64::total_cmp);
+        for i in 0..=1000 {
+            let q = f64::from(i) / 1000.0;
+            let k = ((q * values.len() as f64).ceil() as usize).max(1);
+            let exact = values[k - 1];
+            let got = h.quantile(q);
+            if exact == 0.0 {
+                assert_eq!(got, 0.0, "q={q}");
+            } else {
+                let err = (got - exact).abs() / exact;
+                assert!(err <= 0.05, "q={q}: {got} vs {exact} ({err:.4})");
+            }
+        }
     }
 
     #[test]
@@ -289,5 +360,6 @@ mod tests {
         let v = Value::parse(&json).unwrap();
         assert_eq!(v["b.count"]["counter"].as_u64(), Some(1));
         assert_eq!(v["c.hist"]["count"].as_u64(), Some(1));
+        assert_eq!(v["c.hist"]["p95"].as_f64(), Some(0.01));
     }
 }

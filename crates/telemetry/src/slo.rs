@@ -102,7 +102,7 @@ impl Slo {
                     None
                 } else {
                     Some(match self.quantile {
-                        Some(q) => h.quantile_bound(q),
+                        Some(q) => h.quantile(q),
                         None => h.mean(),
                     })
                 }
@@ -193,8 +193,6 @@ mod tests {
 
     #[test]
     fn boundaries_are_pinned() {
-        // Histogram quantile_bound lands on a bucket upper bound; grade
-        // with a gauge to pin exact boundary semantics.
         let reg = Registry::new();
         let s = Slo::mean("g", "g", 0.1); // warn band to 0.2
 
@@ -215,14 +213,31 @@ mod tests {
     #[test]
     fn histogram_quantile_is_graded() {
         let reg = Registry::new();
-        for _ in 0..100 {
-            reg.observe("t", 5e-4); // p95 bucket bound = 1e-3
+        for i in 1..=100 {
+            reg.observe("t", f64::from(i) * 1e-5); // p95 = 9.5e-4
         }
-        assert_eq!(slo(1e-3).evaluate(&reg).grade, SloGrade::Pass);
-        assert_eq!(slo(1e-4).evaluate(&reg).grade, SloGrade::Fail);
         let v = slo(1e-3).evaluate(&reg);
-        assert_eq!(v.observed, 1e-3);
+        assert_eq!(v.grade, SloGrade::Pass);
+        assert!(
+            (v.observed - 9.5e-4).abs() <= 9.5e-4 / 32.0,
+            "{}",
+            v.observed
+        );
         assert_eq!(v.warn_limit, 2e-3);
+        assert_eq!(slo(9e-4).evaluate(&reg).grade, SloGrade::Warn);
+        assert_eq!(slo(1e-4).evaluate(&reg).grade, SloGrade::Fail);
+    }
+
+    #[test]
+    fn small_tick_waits_grade_on_their_value_not_a_bucket_edge() {
+        // A queue-wait p95 of 3 ticks passes an 8-tick target.
+        let reg = Registry::new();
+        for _ in 0..100 {
+            reg.observe("fleet.queue_wait", 3.0);
+        }
+        let v = Slo::p95("fleet.queue_wait.p95", "fleet.queue_wait", 8.0).evaluate(&reg);
+        assert_eq!(v.observed, 3.0);
+        assert_eq!(v.grade, SloGrade::Pass);
     }
 
     #[test]

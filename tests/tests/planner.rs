@@ -17,7 +17,7 @@ use fastt_cost::CostModels;
 use fastt_graph::Graph;
 use fastt_models::Model;
 use fastt_sim::{FaultSchedule, HardwarePerf, SimConfig};
-use fastt_telemetry::{Collector, MemorySink};
+use fastt_telemetry::{Collector, MemorySink, MetricValue};
 use std::sync::{Arc, Mutex};
 
 fn inputs<'a>(
@@ -232,14 +232,20 @@ fn no_split_candidate_emits_dpos_trace_events() {
     let mut s =
         TrainingSession::new(&g, topo, HardwarePerf::new(), SessionConfig::default()).unwrap();
     let sink = Arc::new(MemorySink::with_default_capacity());
-    s.attach_collector(Arc::new(Collector::new().with_sink(sink.clone())));
+    let col = Arc::new(Collector::new().with_sink(sink.clone()));
+    s.attach_collector(col.clone());
     s.profile(1).unwrap();
     sink.clear();
+    let dpos_runs = || match col.metrics().get("dpos.runs") {
+        Some(MetricValue::Counter(n)) => n,
+        _ => 0,
+    };
+    let runs_before = dpos_runs();
 
     s.compute_candidate_no_split();
     assert!(
-        !sink.events_of("dpos.place").is_empty(),
-        "the no-split candidate must trace its placement decisions"
+        dpos_runs() > runs_before,
+        "the no-split candidate must trace its DPOS run"
     );
     assert!(!sink.events_of("planner.candidate").is_empty());
 }

@@ -62,8 +62,7 @@ fn pre_train_emits_every_lifecycle_kind() {
         !sink.events_of("cost.error").is_empty(),
         "cost models must be scored against fresh traces"
     );
-    // scheduler decision traces and simulator summaries ride along
-    assert!(!sink.events_of("dpos.place").is_empty());
+    // simulator summaries ride along
     assert!(!sink.events_of("sim.iteration").is_empty());
 
     // events counts match the report
@@ -88,10 +87,6 @@ fn pre_train_emits_every_lifecycle_kind() {
     assert!(matches!(
         col.metrics().get("cost.mape"),
         Some(MetricValue::Gauge(g)) if g.is_finite()
-    ));
-    assert!(matches!(
-        col.metrics().get("dpos.ops_placed"),
-        Some(MetricValue::Counter(n)) if n > 0
     ));
 }
 
@@ -128,13 +123,14 @@ fn pre_train_builds_profile_tree_and_per_planner_latency() {
         "simulator phases missing: {paths:?}"
     );
 
-    // planner.latency is recorded both in aggregate and per planner name,
-    // in fine (sub-µs-capable) buckets.
+    // planner.latency is recorded both in aggregate and per planner name;
+    // its p95 is a value inside the observed range, not a bucket edge.
     let Some(MetricValue::Histogram(agg)) = col.metrics().get("planner.latency") else {
         panic!("planner.latency histogram missing");
     };
     assert!(agg.count > 0);
-    assert_eq!(agg.bounds[0], 1e-8, "fine buckets start at 10ns");
+    let p95 = agg.quantile(0.95);
+    assert!(agg.min > 0.0 && agg.min <= p95 && p95 <= agg.max, "{agg:?}");
     let per: Vec<(String, u64)> = col
         .metrics()
         .snapshot()
@@ -166,37 +162,36 @@ fn pre_train_builds_profile_tree_and_per_planner_latency() {
         .any(|v| v.slo == "planner.latency.p95" && v.grade != fastt_telemetry::SloGrade::NoData));
 }
 
+/// Tracing records per-run summaries, not per-op or per-send events, and
+/// leaves the plan bit-identical to an untraced twin's.
 #[test]
-fn dpos_place_events_record_considered_devices() {
-    let (mut s, sink, _col) = session_with_sink(Model::LeNet, 32);
+fn traced_pre_train_counts_placements_without_per_op_events() {
+    let (mut s, sink, col) = session_with_sink(Model::LeNet, 32);
     s.pre_train().unwrap();
-    let places = sink.events_of("dpos.place");
-    // at least one decision considered multiple devices and scored each
-    let multi = places
-        .iter()
-        .find(|e| {
-            e.field("considered")
-                .as_array()
-                .is_some_and(|a| a.len() > 1)
-        })
-        .expect("some op must have had a real device choice");
-    let considered = multi.field("considered").as_array().unwrap();
-    for c in considered {
-        assert!(c["device"].as_u64().is_some());
-        assert!(c["eft"].as_f64().is_some());
+    for kind in ["dpos.place", "comm.step", "comm.collective"] {
+        assert!(sink.events_of(kind).is_empty(), "{kind} events emitted");
     }
-    // the chosen device is among the considered ones, with the best score
-    let chosen = multi.field("device").as_u64().unwrap();
-    let best = considered
-        .iter()
-        .min_by(|a, b| {
-            a["eft"]
-                .as_f64()
-                .unwrap()
-                .total_cmp(&b["eft"].as_f64().unwrap())
-        })
-        .unwrap();
-    assert_eq!(best["device"].as_u64().unwrap(), chosen);
+    let counter = |name: &str| match col.metrics().get(name) {
+        Some(MetricValue::Counter(n)) => n,
+        _ => 0,
+    };
+    // every run counts all the ops of the graph it placed, and no
+    // planned graph is smaller than the raw training graph
+    let g = Model::LeNet.training_graph(32);
+    assert!(counter("dpos.runs") > 0);
+    assert!(counter("dpos.ops_placed") >= counter("dpos.runs") * g.op_count() as u64);
+
+    let mut twin = TrainingSession::new(
+        &g,
+        Topology::single_server(2),
+        HardwarePerf::new(),
+        quick_config(),
+    )
+    .unwrap();
+    twin.pre_train().unwrap();
+    let (traced, untraced) = (s.current_plan(), twin.current_plan());
+    assert_eq!(traced.placement, untraced.placement);
+    assert_eq!(traced.est_finish.to_bits(), untraced.est_finish.to_bits());
 }
 
 #[test]
